@@ -462,10 +462,6 @@ def definiteness(m: MatrixQ) -> str:
     return POSITIVE_DEFINITE if pos else NEGATIVE_DEFINITE
 
 
-def is_sign_definite(m: MatrixQ) -> bool:
-    return definiteness(m) in (POSITIVE_DEFINITE, NEGATIVE_DEFINITE)
-
-
 # ---------------------------------------------------------------------------
 # determinants of matrices with polynomial entries (by interpolation)
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .realroots import (
     MIXED_OR_ZERO,
     NO_REAL_ROOTS,
     isolate_real_roots,
+    positive_roots,
     real_root_signs,
     refine_interval,
 )
@@ -91,10 +92,6 @@ def normalize(a: MatrixQ, b: VectorQ, c) -> Quadric:
         raise ValueError("surface through the origin: constant term must be nonzero")
     s = QQ(-1) / c
     return Quadric(a.scale(s), b.scale(s))
-
-
-def quadric_from_equation(coeffs: MatrixQ, linear: VectorQ, constant) -> Quadric:
-    return normalize(coeffs, linear, constant)
 
 
 class LinearVariety:
@@ -180,11 +177,14 @@ def ellipsoid_definiteness(q: Quadric) -> str:
 def check_real_ellipsoid(q: Quadric) -> str:
     """Definiteness of A, verifying the surface is nonempty over the reals."""
     d = ellipsoid_definiteness(q)
-    if d == NEGATIVE_DEFINITE:
-        radius = 1 + q.b.dot(solve_linear(q.a, q.b))
-        if radius >= 0:
-            raise DegeneracyError("empty-surface", "surface has no real points")
+    _check_nonempty(q, d, "surface")
     return d
+
+
+def _check_nonempty(q: Quadric, d: str, subject: str):
+    """Reject a negative-definite quadric (definiteness d) with no real points."""
+    if d == NEGATIVE_DEFINITE and 1 + q.b.dot(solve_linear(q.a, q.b)) >= 0:
+        raise DegeneracyError("empty-surface", f"{subject} has no real points")
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +264,26 @@ def variety_pencil(e: Quadric, v: LinearVariety) -> ParamPoly:
     return _pencil_from_affine_entry(d0, kpoly)
 
 
+def bordered_point_pencil(a, b, c, x0: VectorQ) -> ParamPoly:
+    """Pencil of X^T A X + 2 B^T X + c = 0 against the point x0.
+
+    The (n+1) bordered determinant with rows [A - mu I | B + mu x0] and
+    [(B + mu x0)^T | c - mu |x0|^2 + mu z]; ``a`` is a sequence of rows.
+    """
+    n = len(a)
+    mu = UniPoly.x(MU)
+    krows = [[a[i][j] - (mu if i == j else 0) for j in range(n)] for i in range(n)]
+    border = [b[i] + mu * x0[i] for i in range(n)]
+    rows = [krows[i] + [border[i]] for i in range(n)]
+    rows.append(border + [UniPoly((c, -x0.dot(x0)), MU)])
+    return _pencil_from_affine_entry(
+        det_unipoly_matrix(rows, MU), det_unipoly_matrix(krows, MU)
+    )
+
+
 def point_pencil(e: Quadric, x0: VectorQ) -> ParamPoly:
     """Pencil for the point-to-quadric problem: the (n+1) bordered determinant."""
-    n = e.dim
-    mu = UniPoly.x(MU)
-    a, b = e.a, e.b
-    x0n2 = x0.dot(x0)
-    rows = []
-    for i in range(n):
-        rows.append(
-            [a.entry(i, j) - (mu if i == j else 0) for j in range(n)]
-            + [b[i] + mu * x0[i]]
-        )
-    rows.append([b[j] + mu * x0[j] for j in range(n)] + [UniPoly((-1, -x0n2), MU)])
-    d0 = det_unipoly_matrix(rows, MU)
-    krows = [
-        [a.entry(i, j) - (mu if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    kpoly = det_unipoly_matrix(krows, MU)
-    return _pencil_from_affine_entry(d0, kpoly)
+    return bordered_point_pencil(e.a.entries, e.b, QQ(-1), x0)
 
 
 def centered_pencil(q1: Quadric, q2: Quadric) -> ParamPoly:
@@ -708,23 +709,30 @@ def _scaled_pencil_residuals(g: UniPoly, mu):
     return r0, r1
 
 
-def variety_nearest_points(e: Quadric, v: LinearVariety, z_hat, bits: int = 128):
-    """Nearest points (X on the quadric, Y on the variety) at the refined z.
+def _pencil_multiple_zero(pencil: ParamPoly, z_hat, bits: int):
+    """(snapped multiple zero, scaled residuals) of the pencil at a snapped z.
 
-    Returns (X, Y, info) where info carries the multiplier data and residuals.
+    Raises when the residuals fail the acceptance gate.
     """
-    z_hat = snap(z_hat, bits - 16)
-    pencil = variety_pencil(e, v)
     g = pencil.eval_param(z_hat)
-    data = bezout_matrix(g)
-    mu = multiple_zero_uni(data, strict=False)
-    mu = snap(mu, bits - 16)
-    r0, r1 = _scaled_pencil_residuals(g, mu)
+    root = snap(multiple_zero_uni(bezout_matrix(g), strict=False), bits - 16)
+    r0, r1 = _scaled_pencil_residuals(g, root)
     tol = tolerance(bits)
     if r0 > tol or r1 > tol:
         raise DegeneracyError(
             "multiple-zero-residual", "recovered pencil zero fails the residual gate"
         )
+    return root, (r0, r1)
+
+
+def variety_nearest_points(e: Quadric, v: LinearVariety, z_hat, bits: int = 128):
+    """Nearest points (X on the quadric, Y on the variety) at the refined z.
+
+    Returns (X, Y, info) where info carries the multiplier data and residuals.
+    """
+    mu, residuals = _pencil_multiple_zero(
+        variety_pencil(e, v), snap(z_hat, bits - 16), bits
+    )
     a_inv = inverse(e.a)
     m = (v.c.transpose() * a_inv * v.c).scale(mu) - v.gram
     if not determinant(m):
@@ -740,23 +748,25 @@ def variety_nearest_points(e: Quadric, v: LinearVariety, z_hat, bits: int = 128)
     info = {
         "mu": mu,
         "multipliers": tuple(nu),
-        "pencil_residuals": (r0, r1),
+        "pencil_residuals": residuals,
     }
     return x, y, info
 
 
-def centered_nearest_points(q1: Quadric, q2: Quadric, z_hat, lam_hat, bits: int = 128):
+def centered_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128):
     """Nearest points on two centered quadrics from the pencil kernel.
 
-    X spans the kernel of M = lam A1 + (z - lam) A2 - lam (z - lam) A2 A1 and
-    is read off a nonzero column of the adjugate; Y comes from a nonzero row.
-    Both are normalized onto their quadrics; the sign pairing is fixed by the
-    distance identity.
+    lam is the pencil's multiple zero at the refined z. X spans the kernel of
+    M = lam A1 + (z - lam) A2 - lam (z - lam) A2 A1 and is read off a nonzero
+    column of the adjugate; Y comes from a nonzero row. Both are normalized
+    onto their quadrics; the sign pairing is fixed by the distance identity.
+    Returns (X, Y, info) like variety_nearest_points.
     """
     from .linalg import adjugate
 
     n = q1.dim
-    lam, z = lam_hat, z_hat
+    z = snap(z_hat, bits - 16)
+    lam, residuals = _pencil_multiple_zero(centered_pencil(q1, q2), z, bits)
     coef = lam * (z - lam)
     m = q1.a.scale(lam) + q2.a.scale(z - lam) - (q2.a * q1.a).scale(coef)
     adj = adjugate(m)
@@ -787,7 +797,7 @@ def centered_nearest_points(q1: Quadric, q2: Quadric, z_hat, lam_hat, bits: int 
     d_minus = (x + y).norm2()
     if abs(d_plus - z) > abs(d_minus - z):
         y = -y
-    return x, y
+    return x, y, {"lam": lam, "pencil_residuals": residuals}
 
 
 def general_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128):
@@ -848,19 +858,18 @@ class QuadricPairProblem:
 
 def _positive_roots_info(f: UniPoly, bits: int):
     infos = []
-    intervals = []
-    for iv in isolate_real_roots(f):
-        if (iv.exact and iv.lo > 0) or (not iv.exact and iv.lo >= 0):
-            r = refine_interval(iv, f, bits)
-            val = r.lo if r.exact else (r.lo + r.hi) / 2
-            err = QQ(0) if r.exact else r.width / 2
-            infos.append(RootInfo(val, err, iv.multiplicity))
-            intervals.append(r)
-    return infos, intervals
+    for iv in positive_roots(f):
+        r = refine_interval(iv, f, bits)
+        val = r.lo if r.exact else (r.lo + r.hi) / 2
+        err = QQ(0) if r.exact else r.width / 2
+        infos.append(RootInfo(val, err, iv.multiplicity))
+    return infos
 
 
 def _distance_fields(report: DistanceReport, z_info: RootInfo, bits: int):
+    """Headline the zero z_info: z*, its simplicity and d = sqrt(z*)."""
     report.z_star = z_info
+    report.simple = z_info.multiplicity == 1
     d, derr = sqrt_approx(z_info.value, bits)
     report.d = d
     report.d_error = derr
@@ -886,6 +895,28 @@ def _residuals_pass(residuals, bits):
     return all(v <= tol for r in residuals for v in r.values())
 
 
+def _solve_pipeline(
+    report, bits, distance_poly, recover, first, other, symmetric_pairs=False
+):
+    """The steps every pairing shares once its certificate is in the report.
+
+    Intersecting surfaces stop at d = 0. Otherwise ``distance_poly()`` builds
+    F(z), its positive zeros are refined, and the squared distance is the
+    first of them whose ``recover(z)`` nearest points validate.
+    """
+    if report.intersecting:
+        report.d = QQ(0)
+        report.d_error = QQ(0)
+        return report
+    f = distance_poly()
+    report.fz = f
+    report.extraneous_z_power = trailing_z_power(f)
+    report.positive_zeros = _positive_roots_info(f, bits)
+    if not report.positive_zeros:
+        raise NoPositiveRootError()
+    return _finish_with_recovery(report, bits, recover, first, other, symmetric_pairs)
+
+
 def solve_variety(e: Quadric, v: LinearVariety, bits: int = 128) -> DistanceReport:
     check_real_ellipsoid(e)
     if e.dim != v.dim:
@@ -896,21 +927,10 @@ def solve_variety(e: Quadric, v: LinearVariety, bits: int = 128) -> DistanceRepo
         intersecting=inter,
         certificate={"bordered_determinant": cert},
     )
-    if inter:
-        report.d = QQ(0)
-        report.d_error = QQ(0)
-        return report
-    f = variety_distance_poly(e, v)
-    report.fz = f
-    report.extraneous_z_power = trailing_z_power(f)
-    infos, _ = _positive_roots_info(f, bits)
-    report.positive_zeros = infos
-    if not infos:
-        raise NoPositiveRootError()
-    return _finish_with_recovery(
+    return _solve_pipeline(
         report,
-        infos,
         bits,
+        distance_poly=lambda: variety_distance_poly(e, v),
         recover=lambda z_hat: variety_nearest_points(e, v, z_hat, bits),
         first=e,
         other=v,
@@ -922,33 +942,16 @@ def solve_point(e: Quadric, x0: VectorQ, bits: int = 128) -> DistanceReport:
     if e.dim != x0.dim:
         raise ValueError("point dimension mismatch")
     side = e.residual_at(x0)
-    if not side:
-        report = DistanceReport(
-            kind="point-quadric",
-            intersecting=True,
-            certificate={"point_residual": side},
-        )
-        report.d = QQ(0)
-        report.d_error = QQ(0)
-        return report
     report = DistanceReport(
         kind="point-quadric",
-        intersecting=False,
+        intersecting=not side,
         certificate={"point_residual": side},
     )
-    f = point_distance_poly(e, x0)
-    report.fz = f
-    report.extraneous_z_power = trailing_z_power(f)
-    infos, _ = _positive_roots_info(f, bits)
-    report.positive_zeros = infos
-    if not infos:
-        raise NoPositiveRootError()
     variety = LinearVariety(MatrixQ.identity(e.dim), x0)
-
-    return _finish_with_recovery(
+    return _solve_pipeline(
         report,
-        infos,
         bits,
+        distance_poly=lambda: point_distance_poly(e, x0),
         recover=lambda z_hat: variety_nearest_points(e, variety, z_hat, bits),
         first=e,
         other=variety,
@@ -964,38 +967,15 @@ def solve_centered(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:
         intersecting=inter,
         certificate={"difference_definiteness": cls},
     )
-    if inter:
-        report.d = QQ(0)
-        report.d_error = QQ(0)
-        return report
-    f = centered_distance_poly(q1, q2)
-    report.fz = f
-    report.extraneous_z_power = trailing_z_power(f)
-    infos, _ = _positive_roots_info(f, bits)
-    report.positive_zeros = infos
-    if not infos:
-        raise NoPositiveRootError()
-
-    def recover(z_hat):
-        z_hat = snap(z_hat, bits - 16)
-        pencil = centered_pencil(q1, q2)
-        g = pencil.eval_param(z_hat)
-        data = bezout_matrix(g)
-        lam = snap(multiple_zero_uni(data, strict=False), bits - 16)
-        r0, r1 = _scaled_pencil_residuals(g, lam)
-        tol = tolerance(bits)
-        if r0 > tol or r1 > tol:
-            raise DegeneracyError(
-                "multiple-zero-residual",
-                "recovered pencil zero fails the residual gate",
-            )
-        x, y = centered_nearest_points(q1, q2, z_hat, lam, bits)
-        return x, y, {"lam": lam, "pencil_residuals": (r0, r1)}
-
-    report = _finish_with_recovery(
-        report, infos, bits, recover=recover, first=q1, other=q2, symmetric_pairs=True
+    return _solve_pipeline(
+        report,
+        bits,
+        distance_poly=lambda: centered_distance_poly(q1, q2),
+        recover=lambda z_hat: centered_nearest_points(q1, q2, z_hat, bits),
+        first=q1,
+        other=q2,
+        symmetric_pairs=True,
     )
-    return report
 
 
 def _is_scalar_matrix(m: MatrixQ):
@@ -1038,25 +1018,17 @@ def _solve_sphere_sphere(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport:
         certificate={"sphere_gap": cert},
     )
     report.warnings.append("sphere pair solved by the coaxial reduction")
-    if report.intersecting:
-        report.d = QQ(0)
-        report.d_error = QQ(0)
-        return report
-    e1 = 2 * (r1sq + r2sq)
-    e0 = (r1sq - r2sq) ** 2
-    z = UniPoly.x(ZVAR)
-    u = (z - d2) ** 2
-    v = z + d2
-    f = u * u + u * (e1 * e1 - 2 * e0 - 2 * e1 * v) + (
-        e0 * e0 - 2 * e0 * e1 * v + 4 * e0 * v * v
-    )
-    f = _finalize_distance_poly(f)
-    report.fz = f
-    report.extraneous_z_power = trailing_z_power(f)
-    infos, _ = _positive_roots_info(f, bits)
-    report.positive_zeros = infos
-    if not infos:
-        raise NoPositiveRootError()
+
+    def distance_poly():
+        e1 = 2 * (r1sq + r2sq)
+        e0 = (r1sq - r2sq) ** 2
+        z = UniPoly.x(ZVAR)
+        u = (z - d2) ** 2
+        v = z + d2
+        f = u * u + u * (e1 * e1 - 2 * e0 - 2 * e1 * v) + (
+            e0 * e0 - 2 * e0 * e1 * v + 4 * e0 * v * v
+        )
+        return _finalize_distance_poly(f)
 
     def recover(z_hat):
         if not d2:
@@ -1077,24 +1049,14 @@ def _solve_sphere_sphere(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport:
                     best = (gap, x, y)
         return best[1], best[2], {"direction": tuple(unit)}
 
-    return _finish_with_recovery(
-        report, infos, bits, recover=recover, first=q1, other=q2
-    )
-
-
-def _check_real_if_definite(q: Quadric):
-    d = definiteness(q.a)
-    if d == NEGATIVE_DEFINITE:
-        radius = 1 + q.b.dot(solve_linear(q.a, q.b))
-        if radius >= 0:
-            raise DegeneracyError("empty-surface", "second surface has no real points")
+    return _solve_pipeline(report, bits, distance_poly, recover, first=q1, other=q2)
 
 
 def solve_general(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:
     if q1.dim != q2.dim:
         raise ValueError("dimension mismatch")
     check_real_ellipsoid(q1)
-    _check_real_if_definite(q2)
+    _check_nonempty(q2, definiteness(q2.a), "second surface")
     if q1 == q2:
         return DistanceReport(
             kind="quadric-quadric",
@@ -1147,35 +1109,27 @@ def _solve_general_direct(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport
         report.warnings.append(
             "sign pencil has no real zeros; classified as non-intersecting"
         )
-    if inter:
-        report.d = QQ(0)
-        report.d_error = QQ(0)
-        return report
-    f, square = general_distance_poly_full(q1, q2)
-    report.fz = f
-    report.extraneous_z_power = trailing_z_power(f)
-    if square is not None and square.degree > 0:
-        report.warnings.append(
-            "extraneous square factor removed from the distance polynomial"
-        )
-        report.certificate["extraneous_square"] = square
-    infos, _ = _positive_roots_info(f, bits)
-    report.positive_zeros = infos
-    if not infos:
-        raise NoPositiveRootError()
 
-    def recover(z_hat):
-        x, y, info = general_nearest_points(q1, q2, z_hat, bits)
-        return x, y, info
+    def distance_poly():
+        f, square = general_distance_poly_full(q1, q2)
+        if square is not None and square.degree > 0:
+            report.warnings.append(
+                "extraneous square factor removed from the distance polynomial"
+            )
+            report.certificate["extraneous_square"] = square
+        return f
 
-    return _finish_with_recovery(
-        report, infos, bits, recover=recover, first=q1, other=q2
+    return _solve_pipeline(
+        report,
+        bits,
+        distance_poly,
+        recover=lambda z_hat: general_nearest_points(q1, q2, z_hat, bits),
+        first=q1,
+        other=q2,
     )
 
 
-def _finish_with_recovery(
-    report, infos, bits, recover, first, other, symmetric_pairs=False
-):
+def _finish_with_recovery(report, bits, recover, first, other, symmetric_pairs):
     """Select the squared distance among the positive zeros, ascending.
 
     Each candidate must support nearest-point recovery with real points whose
@@ -1184,11 +1138,10 @@ def _finish_with_recovery(
     skipped with a note; a multiple minimal zero is never skipped silently:
     it stays the headline value with the first validated zero alongside.
     """
+    z0 = report.positive_zeros[0]
     chosen = None
-    chosen_pairs = None
-    chosen_info = None
     skipped = []
-    for cand in infos:
+    for cand in report.positive_zeros:
         try:
             x, y, info = recover(cand.value)
             pairs = [(x, y)]
@@ -1203,63 +1156,44 @@ def _finish_with_recovery(
             skipped.append((cand, exc.code))
             continue
         chosen = cand
-        chosen_pairs = list(zip(pairs, residuals))
-        chosen_info = info
         break
+    failures = [
+        f"recovery at zero ~{float(cand.value):.9g} failed: {code}"
+        for cand, code in skipped
+    ]
     if chosen is None:
         # nothing validated: report the minimal positive zero without points
-        z0 = infos[0]
-        _distance_fields(report, z0, bits)
-        report.simple = z0.multiplicity == 1
-        for cand, code in skipped:
-            report.warnings.append(
-                f"recovery at zero ~{float(cand.value):.9g} failed: {code}"
-            )
+        headline = z0
+        report.warnings.extend(failures)
         report.warnings.append("no positive zero supported nearest-point recovery")
-        return report
-    if chosen is infos[0]:
-        _distance_fields(report, chosen, bits)
-        report.simple = chosen.multiplicity == 1
-        if not report.simple:
-            report.warnings.append(
-                "minimal positive zero is multiple; the distance certificate does not apply"
-            )
-        _attach_pairs(report, chosen_pairs, chosen_info)
-        return report
-    # the minimal positive zero failed validation
-    z0 = infos[0]
-    if z0.multiplicity > 1:
+    elif chosen is not z0 and z0.multiplicity > 1:
         # ambiguous multiple minimum: keep it as the headline, never
         # silently substitute; the validated candidate rides alongside
-        _distance_fields(report, z0, bits)
-        report.simple = False
+        headline = z0
         report.alternate_z = chosen
         report.warnings.append(
             "minimal positive zero is multiple and its recovery failed; "
             f"first validated zero ~{float(chosen.value):.9g} reported alongside"
         )
+        report.warnings.extend(failures)
+    else:
+        # simple zeros below the accepted one are extraneous-factor roots
+        headline = chosen
+        report.nearest_pairs = [
+            NearestPair(tuple(x), tuple(y), res) for (x, y), res in zip(pairs, residuals)
+        ]
+        report.multipliers = info or {}
         for cand, code in skipped:
             report.warnings.append(
-                f"recovery at zero ~{float(cand.value):.9g} failed: {code}"
+                f"skipped positive zero ~{float(cand.value):.9g} "
+                f"(failed validation: {code})"
             )
-        return report
-    # simple zeros below the accepted one are extraneous-factor roots
-    _distance_fields(report, chosen, bits)
-    report.simple = chosen.multiplicity == 1
-    _attach_pairs(report, chosen_pairs, chosen_info)
-    for cand, code in skipped:
-        report.warnings.append(
-            f"skipped positive zero ~{float(cand.value):.9g} "
-            f"(failed validation: {code})"
-        )
+        if chosen.multiplicity > 1 and chosen is z0:
+            report.warnings.append(
+                "minimal positive zero is multiple; the distance certificate does not apply"
+            )
+    _distance_fields(report, headline, bits)
     return report
-
-
-def _attach_pairs(report, chosen_pairs, info):
-    report.nearest_pairs = [
-        NearestPair(tuple(x), tuple(y), res) for (x, y), res in chosen_pairs
-    ]
-    report.multipliers = info or {}
 
 
 def solve(problem, bits: int = 128) -> DistanceReport:

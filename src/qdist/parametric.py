@@ -13,20 +13,19 @@ from dataclasses import dataclass
 
 from .discrim import bezout_matrix, discriminant_param, multiple_zero_uni
 from .errors import DegeneracyError, NoPositiveRootError
-from .linalg import MatrixQ, VectorQ, det_unipoly_matrix
+from .linalg import MatrixQ, VectorQ
 from .metrics import (
-    MU,
     ZVAR,
     DistanceReport,
     RootInfo,
-    _pencil_from_affine_entry,
+    _distance_fields,
+    bordered_point_pencil,
     normalize,
     solve_point,
-    trailing_z_power,
 )
-from .poly import BiPoly, NewtonInterp, ParamPoly, UniPoly, rational_nodes
-from .realroots import isolate_real_roots, refine
-from .scalar import QQ, rational, snap, sqrt_approx, tolerance
+from .poly import BiPoly, NewtonInterp, UniPoly, rational_nodes
+from .realroots import positive_roots, refine
+from .scalar import QQ, rational, snap, tolerance
 
 TVAR = "t"
 
@@ -97,26 +96,6 @@ def _as_tpoly(e):
     return UniPoly.const(e, TVAR)
 
 
-def _member_pencil(fam: QuadricFamily, x0: VectorQ, t) -> ParamPoly:
-    """Point-distance pencil of the member at t, from the unnormalized data."""
-    n = fam.dim
-    mu = UniPoly.x(MU)
-    a = [[e.eval(t) for e in row] for row in fam.a]
-    b = [e.eval(t) for e in fam.b]
-    c = fam.c.eval(t)
-    x0n2 = x0.dot(x0)
-    rows = []
-    for i in range(n):
-        rows.append(
-            [a[i][j] - (mu if i == j else 0) for j in range(n)] + [b[i] + mu * x0[i]]
-        )
-    rows.append([b[j] + mu * x0[j] for j in range(n)] + [UniPoly((c, -x0n2), MU)])
-    d0 = det_unipoly_matrix(rows, MU)
-    krows = [[a[i][j] - (mu if i == j else 0) for j in range(n)] for i in range(n)]
-    kpoly = det_unipoly_matrix(krows, MU)
-    return _pencil_from_affine_entry(d0, kpoly)
-
-
 def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
     """F(z, t): for each t the member's distance polynomial in z.
 
@@ -135,7 +114,13 @@ def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
     bound = (2 * (n + 1) - 1) * max(d_phi, 1)
 
     def value(t):
-        pencil = _member_pencil(fam, x0, t)
+        # the member's point pencil, from the unnormalized data
+        pencil = bordered_point_pencil(
+            [[e.eval(t) for e in row] for row in fam.a],
+            [e.eval(t) for e in fam.b],
+            fam.c.eval(t),
+            x0,
+        )
         if pencil.degree != n + 1:
             return None
         try:
@@ -178,14 +163,18 @@ def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
     return BiPoly.from_terms(terms, (ZVAR, TVAR))
 
 
-def family_distance_poly(fam: QuadricFamily, x0: VectorQ):
+def family_distance_poly(
+    fam: QuadricFamily, x0: VectorQ, surface: BiPoly | None = None
+):
     """(iterated discriminant, endpoint polynomial at a, endpoint at b).
 
     The iterated discriminant is None when F(z, t) does not genuinely depend
     on t (endpoint/ member evaluation is then the only branch). Unbounded
-    intervals yield None endpoints.
+    intervals yield None endpoints. A caller that already holds the distance
+    surface F(z, t) passes it in to skip rebuilding it.
     """
-    surface = family_distance_surface(fam, x0)
+    if surface is None:
+        surface = family_distance_surface(fam, x0)
     if fam.interval is not None:
         fa = surface.eval_var(1, fam.interval[0]).normalized()
         fb = surface.eval_var(1, fam.interval[1]).normalized()
@@ -219,7 +208,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     if x0.dim != fam.dim:
         raise ValueError("point dimension mismatch")
     surface = family_distance_surface(fam, x0)
-    big_f, fa, fb = family_distance_poly(fam, x0)
+    big_f, fa, fb = family_distance_poly(fam, x0, surface)
     report = DistanceReport(
         kind="family-point",
         intersecting=False,
@@ -236,9 +225,8 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     # gather candidates lazily: refine, sort ascending, validate on demand
     pending = []
     if big_f is not None:
-        for iv in isolate_real_roots(big_f):
-            good = (iv.exact and iv.lo > 0) or (not iv.exact and iv.lo >= 0)
-            if good and iv.multiplicity == 1:
+        for iv in positive_roots(big_f):
+            if iv.multiplicity == 1:
                 pending.append(("interior", refine(iv, big_f, bits), None, 1))
     for poly, label, t_end in (
         (fa, "endpoint-a", fam.interval[0] if fam.interval else None),
@@ -246,12 +234,10 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     ):
         if poly is None or not poly:
             continue
-        for iv in isolate_real_roots(poly):
-            good = (iv.exact and iv.lo > 0) or (not iv.exact and iv.lo >= 0)
-            if good:
-                z_hat = refine(iv, poly, bits)
-                pending.append((label, z_hat, t_end, iv.multiplicity))
-                break  # only the minimal positive zero of an endpoint matters
+        roots = positive_roots(poly)
+        if roots:  # only the minimal positive zero of an endpoint matters
+            iv = roots[0]
+            pending.append((label, refine(iv, poly, bits), t_end, iv.multiplicity))
     if not pending:
         raise NoPositiveRootError(
             "no positive candidate zero: point appears enclosed by every member"
@@ -273,11 +259,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
         raise NoPositiveRootError(
             "no candidate zero passed validation"
         )
-    report.z_star = RootInfo(best.z, QQ(1, 1 << bits), best.multiplicity)
-    d, derr = sqrt_approx(best.z, bits)
-    report.d = d
-    report.d_error = derr
-    report.simple = best.multiplicity == 1
+    _distance_fields(report, RootInfo(best.z, QQ(1, 1 << bits), best.multiplicity), bits)
     report.t_star = best.t
     if best.source == "interior":
         report.certificate["branch"] = "interior-stationary"
@@ -332,16 +314,9 @@ def _validate_interior(fam, x0, surface, d_dt, z_hat, bits):
     if not member_poly:
         return None
     try:
-        intervals = isolate_real_roots(member_poly)
+        roots = positive_roots(member_poly)
     except (ValueError, AssertionError):
         return None
-    width = tolerance(bits // 2)
-    for iv in intervals:
-        good = (iv.exact and iv.lo > 0) or (not iv.exact and iv.lo >= 0)
-        if not good:
-            continue
-        val = refine(iv, member_poly, bits // 2)
-        if val < z_hat - width:
-            return None  # a smaller positive zero: z_hat is a far branch
-        break
+    if roots and refine(roots[0], member_poly, bits // 2) < z_hat - tolerance(bits // 2):
+        return None  # a smaller positive zero: z_hat is a far branch
     return _Candidate(z_hat, "interior", 1, t_hat)

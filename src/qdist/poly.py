@@ -167,15 +167,6 @@ class UniPoly:
             acc = c if acc is None else acc * point + c
         return acc if acc is not None else QQ(0)
 
-    def compose_linear(self, a, b):
-        """Evaluate at a*var + b, returning a polynomial."""
-        a, b = _coerce(a), _coerce(b)
-        arg = UniPoly((b, a), self.var)
-        acc = UniPoly.zero(self.var)
-        for c in reversed(self.coeffs):
-            acc = acc * arg + c
-        return acc
-
     # -- rational-coefficient utilities -------------------------------------
 
     def content(self):
@@ -212,15 +203,6 @@ class UniPoly:
         if not self.coeffs:
             return self
         return self / self.lead
-
-    def int_coeffs(self):
-        """Coefficients as plain ints (requires integer polynomial)."""
-        out = []
-        for c in self.coeffs:
-            if int(c.denominator) != 1:
-                raise ValueError("not an integer polynomial")
-            out.append(int(c.numerator))
-        return out
 
     def __repr__(self):
         if not self.coeffs:
@@ -567,11 +549,6 @@ class RatFunc:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.eval(point) / dv
 
-    def as_rational(self):
-        if self.den.degree != 0 or self.num.degree > 0:
-            raise ValueError("not a constant rational function")
-        return self.num.coeff(0) / self.den.coeff(0)
-
     def __repr__(self):
         if self.den == UniPoly.const(1, self.den.var):
             return f"({self.num!r})"
@@ -664,12 +641,6 @@ class ParamPoly:
         for j in range(depth):
             new.append(UniPoly([r[j] if j < len(r) else 0 for r in rows], self.main_var))
         return ParamPoly(new, self.param_var, self.main_var)
-
-    def as_bipoly(self) -> "BiPoly":
-        rows = []
-        for c in self.coeffs:
-            rows.append(list(c.coeffs) if c.coeffs else [QQ(0)])
-        return BiPoly(rows, (self.main_var, self.param_var))
 
     def __repr__(self):
         terms = []

@@ -80,16 +80,6 @@ def _var_at(chain, x):
     return _variations([_sign(p.eval(x)) for p in chain])
 
 
-def _var_at_neg_inf(chain):
-    return _variations(
-        [_sign(p.lead) * (-1 if p.degree % 2 else 1) for p in chain if p]
-    )
-
-
-def _var_at_pos_inf(chain):
-    return _variations([_sign(p.lead) for p in chain if p])
-
-
 def _count_between(chain, a, b):
     """Number of distinct roots in (a, b]; a and b must not be roots."""
     return _var_at(chain, a) - _var_at(chain, b)
@@ -296,28 +286,25 @@ def refine_interval(iv: IsolatingInterval, p: UniPoly, bits: int) -> IsolatingIn
     return IsolatingInterval(lo, hi, iv.multiplicity)
 
 
+def positive_roots(p: UniPoly):
+    """Isolating intervals of the positive real roots, ascending.
+
+    Intervals never straddle zero, so a bracket starting at 0 is positive
+    unless it is the exact root 0.
+    """
+    return [
+        iv for iv in isolate_real_roots(p)
+        if (iv.exact and iv.lo > 0) or (not iv.exact and iv.lo >= 0)
+    ]
+
+
 def min_positive_zero(p: UniPoly, bits: int = 128):
     """Smallest positive real root: (approximation, is_simple, multiplicity)."""
-    roots = isolate_real_roots(p)
-    for iv in roots:
-        if iv.exact and iv.lo > 0:
-            return iv.lo, iv.multiplicity == 1, iv.multiplicity
-        if not iv.exact and iv.lo >= 0:
-            val = refine(iv, p, bits)
-            return val, iv.multiplicity == 1, iv.multiplicity
-    raise NoPositiveRootError()
-
-
-def positive_zeros(p: UniPoly, bits: int = 128):
-    """All positive real roots as (approximation, multiplicity), ascending."""
-    out = []
-    for iv in isolate_real_roots(p):
-        if iv.exact:
-            if iv.lo > 0:
-                out.append((iv.lo, iv.multiplicity))
-        elif iv.lo >= 0:
-            out.append((refine(iv, p, bits), iv.multiplicity))
-    return out
+    roots = positive_roots(p)
+    if not roots:
+        raise NoPositiveRootError()
+    iv = roots[0]
+    return refine(iv, p, bits), iv.multiplicity == 1, iv.multiplicity
 
 
 def real_root_signs(p: UniPoly) -> str:

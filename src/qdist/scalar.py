@@ -1,8 +1,10 @@
 """Exact rational scalars and low-level numeric helpers.
 
 Everything in the package computes over arbitrary-precision rationals.
-gmpy2 supplies the fast implementation; fractions.Fraction is an API
-compatible fallback so the library stays importable without it.
+The backend is chosen at import: gmpy2's mpq when the optional gmpy2
+extra is installed, otherwise the standard library's fractions.Fraction,
+which is the default and the backend the test suite runs on. Both are
+exact; gmpy2 is faster. ``RAT_TYPE`` names the backend in use.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ try:
     def _isqrt(n: int) -> int:
         return int(_g.isqrt(n))
 
-except ImportError:  # pragma: no cover - exercised only without gmpy2
+except ImportError:  # the default backend when the gmpy2 extra is absent
     import math as _math
     from fractions import Fraction as QQ
 
