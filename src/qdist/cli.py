@@ -43,6 +43,13 @@ KINDS = (
 )
 
 
+def _valid_bits(value) -> int:
+    bits = int(value)
+    if bits < 8:
+        raise ValueError("bits must be at least 8")
+    return bits
+
+
 class ProblemFile:
     """Parsed and validated problem description."""
 
@@ -53,9 +60,7 @@ class ProblemFile:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         options = data.get("options", {})
-        self.bits = int(options.get("bits", 128))
-        if self.bits < 8:
-            raise ValueError("bits must be at least 8")
+        self.bits = _valid_bits(options.get("bits", 128))
         self.exact = bool(options.get("exact", False))
         self.quadric = None
         self.quadric2 = None
@@ -412,7 +417,7 @@ def main(argv=None) -> int:
             data = json.load(fh)
         problem = ProblemFile(data)
         if args.bits is not None:
-            problem.bits = args.bits
+            problem.bits = _valid_bits(args.bits)
         if args.exact:
             problem.exact = True
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:

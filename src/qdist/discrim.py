@@ -16,15 +16,17 @@ at rational nodes with verification nodes guarding the degree bound.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import DegeneracyError
-from .linalg import MatrixQ, determinant
+from .linalg import MatrixQ, char_poly, determinant
 from .poly import (
     BiPoly,
-    NewtonInterp,
+    NodeValues,
     ParamPoly,
     UniPoly,
     divrem,
-    rational_nodes,
+    interpolate_verified,
 )
 from .scalar import QQ
 
@@ -390,68 +392,6 @@ def multiple_zero_biv(data: BezoutData, strict: bool = True):
 # ---------------------------------------------------------------------------
 
 
-class _SkipNode(Exception):
-    """Raised by node evaluators on specializations that must be avoided."""
-
-
-def _interpolate_function(compute, bound: int, var: str, max_skips: int = 40):
-    """Exact interpolation of a polynomial-valued function of one rational.
-
-    compute(node) returns the exact value or raises _SkipNode. The result is
-    verified at 3 extra nodes; on mismatch the bound doubles once before
-    giving up.
-    """
-    doubled = False
-    while True:
-        nodes = rational_nodes()
-        interp = NewtonInterp(var)
-        skips = 0
-        try:
-            while len(interp.xs) < bound + 1:
-                t = next(nodes)
-                try:
-                    y = compute(t)
-                except _SkipNode:
-                    skips += 1
-                    if skips > max_skips:
-                        raise DegeneracyError(
-                            "degenerate-specialization",
-                            "too many invalid interpolation nodes",
-                        )
-                    continue
-                interp.add_point(t, y)
-            result = interp.polynomial()
-            checked = 0
-            while checked < 3:
-                t = next(nodes)
-                try:
-                    y = compute(t)
-                except _SkipNode:
-                    skips += 1
-                    if skips > max_skips:
-                        raise DegeneracyError(
-                            "degenerate-specialization",
-                            "too many invalid interpolation nodes",
-                        )
-                    continue
-                if result.eval(t) != y:
-                    raise _VerificationFailed()
-                checked += 1
-            return result
-        except _VerificationFailed:
-            if doubled:
-                raise DegeneracyError(
-                    "interpolation-verification",
-                    "interpolated discriminant failed verification",
-                )
-            doubled = True
-            bound *= 2
-
-
-class _VerificationFailed(Exception):
-    pass
-
-
 def discriminant_param(pp: ParamPoly, degree_bound=None) -> UniPoly:
     """Discriminant in the main variable of a parameter-dependent polynomial.
 
@@ -468,10 +408,10 @@ def discriminant_param(pp: ParamPoly, degree_bound=None) -> UniPoly:
 
     def compute(t):
         if not lead.eval(t):
-            raise _SkipNode()
+            return None
         return discriminant_uni(pp.eval_param(t))
 
-    return _interpolate_function(compute, bound, pp.param_var)
+    return interpolate_verified(compute, bound, pp.param_var)
 
 
 def discriminant_biv_param(
@@ -496,129 +436,42 @@ def discriminant_biv_param(
     def matrix_at(t):
         g = build(t)
         if g.total_degree != expected_degree:
-            raise _SkipNode()
+            return None
         try:
             return bezout_matrix_biv(g)
         except DegeneracyError:
-            raise _SkipNode()
-
-    def compute_det(t):
-        return matrix_at(t).det
+            return None
 
     n = expected_degree
     if max_pole_order is None:
         max_pole_order = 2 * n * (n - 1)
+    matrices = NodeValues(matrix_at, skip_zero=True)
+
+    def det_at(t):
+        data = matrices(t)
+        return None if data is None else data.det
 
     # probe: an identically vanishing determinant signals a singular branch
     # of the pencil that persists for every parameter value (symmetric
     # configurations); deflate it away by taking the product of the nonzero
     # eigenvalues of the matrix, i.e. the lowest nonvanishing coefficient of
     # its characteristic polynomial, at a fixed deflation index.
-    probe_nodes = []
-    stream = rational_nodes()
-    next(stream)
-    probe_vals = []
-    while len(probe_vals) < 6:
-        t = next(stream)
-        try:
-            probe_vals.append((t, compute_det(t)))
-        except _SkipNode:
-            continue
-        probe_nodes.append(t)
-    if any(v for _, v in probe_vals):
-        return _laurent_interpolate(compute_det, degree_bound, var, max_pole_order)
+    if any(data.det for _, data in islice(matrices.points(), 6)):
+        return interpolate_verified(det_at, degree_bound, var, max_pole_order)
 
-    from .linalg import char_poly
+    def lowest_char_coeff(t):
+        data = matrices(t)
+        if data is None:
+            return None
+        chi = char_poly(data.matrix, "x")
+        return next((i, c) for i, c in enumerate(chi.coeffs) if c)
 
-    def deflation_data(t):
-        chi = char_poly(matrix_at(t).matrix, "x")
-        for i, c in enumerate(chi.coeffs):
-            if c:
-                return i, c
-        raise _SkipNode()
-
-    indices = []
-    for t in probe_nodes:
-        try:
-            indices.append(deflation_data(t)[0])
-        except _SkipNode:
-            continue
-    if not indices:
-        raise DegeneracyError(
-            "identically-zero-discriminant", "pencil matrix vanishes identically"
-        )
+    lowest = NodeValues(lowest_char_coeff, skip_zero=True)
+    indices = [i for _, (i, _) in islice(lowest.points(), 6)]
     index = max(set(indices), key=indices.count)
 
-    def compute_deflated(t):
-        i, c = deflation_data(t)
-        if i != index:
-            raise _SkipNode()
-        return c
+    def deflated_at(t):
+        low = lowest(t)
+        return low[1] if low is not None and low[0] == index else None
 
-    return _laurent_interpolate(compute_deflated, degree_bound, var, max_pole_order)
-
-
-def _laurent_interpolate(compute, bound: int, var: str, max_pole_order: int,
-                         max_skips: int = 60):
-    """Reconstruct a value function with a possible pole only at zero.
-
-    Finds the smallest k such that node^k * value(node) interpolates to a
-    polynomial of degree <= bound + k that checks out on 3 extra nodes.
-    Node values are computed once and cached.
-    """
-    cache = {}
-    invalid = set()
-    stream = rational_nodes()
-    next(stream)  # never evaluate at zero: it may be the pole
-    node_list = []
-
-    def value_at(t):
-        if t in invalid:
-            raise _SkipNode()
-        if t not in cache:
-            try:
-                cache[t] = compute(t)
-            except _SkipNode:
-                invalid.add(t)
-                raise
-        return cache[t]
-
-    def nth_valid_node(i):
-        while len(node_list) <= i:
-            t = next(stream)
-            try:
-                value_at(t)
-            except _SkipNode:
-                if len(invalid) > max_skips:
-                    raise DegeneracyError(
-                        "degenerate-specialization",
-                        "too many invalid interpolation nodes",
-                    )
-                continue
-            node_list.append(t)
-        return node_list[i]
-
-    doubled = False
-    while True:
-        for k in range(max_pole_order + 1):
-            m = bound + k + 1
-            interp = NewtonInterp(var)
-            for i in range(m):
-                t = nth_valid_node(i)
-                interp.add_point(t, value_at(t) * t**k)
-            result = interp.polynomial()
-            good = True
-            for i in range(m, m + 3):
-                t = nth_valid_node(i)
-                if result.eval(t) != value_at(t) * t**k:
-                    good = False
-                    break
-            if good:
-                return result
-        if doubled:
-            raise DegeneracyError(
-                "interpolation-verification",
-                "interpolated discriminant failed verification",
-            )
-        doubled = True
-        bound *= 2
+    return interpolate_verified(deflated_at, degree_bound, var, max_pole_order)

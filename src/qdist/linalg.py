@@ -8,8 +8,10 @@ exact division), which the elimination constructions rely on.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import SingularMatrixError
-from .poly import NewtonInterp, UniPoly, rational_nodes
+from .poly import UniPoly, interpolate, rational_nodes
 from .scalar import QQ, RAT_TYPE, is_rational, rational
 
 
@@ -413,19 +415,17 @@ def char_poly(m: MatrixQ, var="x") -> UniPoly:
     """det(var*I - m), by exact interpolation."""
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    it = NewtonInterp(var)
-    nodes = rational_nodes()
-    for _ in range(n + 1):
-        t = next(nodes)
+
+    def shifted_det(t):
         shifted = MatrixQ(
             [
                 [t - c if i == j else -c for j, c in enumerate(row)]
                 for i, row in enumerate(m.entries)
             ]
         )
-        it.add_point(t, determinant(shifted))
-    return it.polynomial()
+        return determinant(shifted)
+
+    return interpolate(_node_points(shifted_det, m.rows), var)
 
 
 def eigenvalue_sign_counts(m: MatrixQ):
@@ -467,6 +467,11 @@ def definiteness(m: MatrixQ) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _node_points(f, degree: int):
+    """(t, f(t)) at the first degree + 1 rational nodes; exact bounds need no check."""
+    return [(t, f(t)) for t in islice(rational_nodes(), degree + 1)]
+
+
 def det_unipoly_matrix(entries, var="x") -> UniPoly:
     """Determinant of a square matrix of UniPoly/scalar entries."""
     rows = []
@@ -481,13 +486,11 @@ def det_unipoly_matrix(entries, var="x") -> UniPoly:
             rowdeg = max(rowdeg, max(c.degree, 0))
         bound += rowdeg
         rows.append(prow)
-    it = NewtonInterp(var)
-    nodes = rational_nodes()
-    for _ in range(bound + 1):
-        t = next(nodes)
-        m = MatrixQ([[c.eval(t) for c in row] for row in rows])
-        it.add_point(t, determinant(m))
-    return it.polynomial()
+
+    def det_at(t):
+        return determinant(MatrixQ([[c.eval(t) for c in row] for row in rows]))
+
+    return interpolate(_node_points(det_at, bound), var)
 
 
 def det_bipoly_matrix(entries, vars=("x1", "x2")):
@@ -508,28 +511,18 @@ def det_bipoly_matrix(entries, vars=("x1", "x2")):
         b1 += r1
         b2 += r2
         rows.append(prow)
-    nodes1 = []
-    gen = rational_nodes()
-    for _ in range(b1 + 1):
-        nodes1.append(next(gen))
-    nodes2 = []
-    gen = rational_nodes()
-    for _ in range(b2 + 1):
-        nodes2.append(next(gen))
+
+    def det_at(t1, t2):
+        return determinant(MatrixQ([[c.eval(t1, t2) for c in row] for row in rows]))
+
     # interpolate in var2 for each var1 node, then in var1 coefficientwise
-    polys_at_node1 = []
-    for t1 in nodes1:
-        it = NewtonInterp(vars[1])
-        for t2 in nodes2:
-            m = MatrixQ([[c.eval(t1, t2) for c in row] for row in rows])
-            it.add_point(t2, determinant(m))
-        polys_at_node1.append(it.polynomial())
-    grid_rows = []
-    for j in range(b2 + 1):
-        it = NewtonInterp(vars[0])
-        for t1, p in zip(nodes1, polys_at_node1):
-            it.add_point(t1, p.coeff(j))
-        grid_rows.append(it.polynomial())
+    polys_at_node1 = _node_points(
+        lambda t1: interpolate(_node_points(lambda t2: det_at(t1, t2), b2), vars[1]), b1
+    )
+    grid_rows = [
+        interpolate([(t1, p.coeff(j)) for t1, p in polys_at_node1], vars[0])
+        for j in range(b2 + 1)
+    ]
     terms = {}
     for j, p in enumerate(grid_rows):
         for i, c in enumerate(p.coeffs):

@@ -23,7 +23,7 @@ from .metrics import (
     normalize,
     solve_point,
 )
-from .poly import BiPoly, NewtonInterp, UniPoly, rational_nodes
+from .poly import BiPoly, UniPoly, interpolate_verified
 from .realroots import positive_roots, refine
 from .scalar import QQ, rational, snap, tolerance
 
@@ -103,7 +103,6 @@ def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
     nodes; nodes where the pencil degenerates are skipped.
     """
     n = fam.dim
-    dmax = fam.param_degree
     row_degrees = []
     for i in range(n):
         row_degrees.append(
@@ -113,8 +112,9 @@ def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
     d_phi = sum(row_degrees)
     bound = (2 * (n + 1) - 1) * max(d_phi, 1)
 
-    def value(t):
-        # the member's point pencil, from the unnormalized data
+    def coefficients(t):
+        # z-coefficients of the member's distance polynomial, from the
+        # unnormalized data of its point pencil
         pencil = bordered_point_pencil(
             [[e.eval(t) for e in row] for row in fam.a],
             [e.eval(t) for e in fam.b],
@@ -124,37 +124,11 @@ def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
         if pencil.degree != n + 1:
             return None
         try:
-            return discriminant_param(pencil, degree_bound=2 * (n + 1))
+            return discriminant_param(pencil, degree_bound=2 * (n + 1)).coeffs
         except DegeneracyError:
             return None
 
-    nodes = rational_nodes()
-    points = []
-    skips = 0
-    while len(points) < bound + 1 + 3:
-        t = next(nodes)
-        v = value(t)
-        if v is None:
-            skips += 1
-            if skips > 40:
-                raise DegeneracyError(
-                    "degenerate-family", "too many invalid parameter nodes"
-                )
-            continue
-        points.append((t, v))
-    max_dz = max(v.degree for _, v in points)
-    interps = [NewtonInterp(TVAR) for _ in range(max_dz + 1)]
-    for t, v in points[: bound + 1]:
-        for j in range(max_dz + 1):
-            interps[j].add_point(t, v.coeff(j))
-    cols = [it.polynomial() for it in interps]
-    for t, v in points[bound + 1 :]:
-        for j in range(max_dz + 1):
-            if cols[j].eval(t) != v.coeff(j):
-                raise DegeneracyError(
-                    "interpolation-verification",
-                    "distance surface failed verification",
-                )
+    cols = interpolate_verified(coefficients, bound, TVAR)
     terms = {}
     for j, p in enumerate(cols):
         for i, coeff in enumerate(p.coeffs):
@@ -222,12 +196,8 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
         )
     d_dt = surface.derivative(1)
 
-    # gather candidates lazily: refine, sort ascending, validate on demand
-    pending = []
-    if big_f is not None:
-        for iv in positive_roots(big_f):
-            if iv.multiplicity == 1:
-                pending.append(("interior", refine(iv, big_f, bits), None, 1))
+    # only the minimal positive zero of an endpoint matters
+    endpoints = []
     for poly, label, t_end in (
         (fa, "endpoint-a", fam.interval[0] if fam.interval else None),
         (fb, "endpoint-b", fam.interval[1] if fam.interval else None),
@@ -235,26 +205,32 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
         if poly is None or not poly:
             continue
         roots = positive_roots(poly)
-        if roots:  # only the minimal positive zero of an endpoint matters
+        if roots:
             iv = roots[0]
-            pending.append((label, refine(iv, poly, bits), t_end, iv.multiplicity))
-    if not pending:
+            endpoints.append(_Candidate(refine(iv, poly, bits), label, iv.multiplicity, t_end))
+    endpoints.sort(key=lambda c: c.z)  # stable: endpoint a first on a tie
+    interior = []
+    if big_f is not None:
+        interior = [iv for iv in positive_roots(big_f) if iv.multiplicity == 1]
+    if not interior and not endpoints:
         raise NoPositiveRootError(
             "no positive candidate zero: point appears enclosed by every member"
         )
-    pending.sort(key=lambda c: c[1])
+    # interior zeros ascend in isolation order; each is refined only when it
+    # is next to be tried, and yields to an endpoint zero strictly below it
     best = None
-    for label, z_hat, t_end, mult in pending:
-        if label != "interior":
-            best = _Candidate(z_hat, label, mult, t_end)
+    for iv in interior:
+        z_hat = refine(iv, big_f, bits)
+        if endpoints and endpoints[0].z < z_hat:
             break
-        cand = _validate_interior(fam, x0, surface, d_dt, z_hat, bits)
-        if cand is not None:
-            best = cand
+        best = _validate_interior(fam, x0, surface, d_dt, z_hat, bits)
+        if best is not None:
             break
         report.warnings.append(
             f"interior zero ~{float(z_hat):.9g} failed stationarity validation"
         )
+    if best is None and endpoints:
+        best = endpoints[0]
     if best is None:
         raise NoPositiveRootError(
             "no candidate zero passed validation"

@@ -12,7 +12,10 @@ BiPoly is a dense bivariate polynomial on a coefficient grid.
 
 from __future__ import annotations
 
-from .scalar import QQ, RAT_TYPE, is_rational
+from itertools import islice
+
+from .errors import DegeneracyError
+from .scalar import QQ, is_rational
 
 
 def _coerce(c):
@@ -853,17 +856,15 @@ class NewtonInterp:
         self.var = var
         self.xs = []
         self.diffs = []  # leading column of the divided-difference table
-        self._table = []
+        self._row = []  # last row of the table, the only one add_point needs
 
     def add_point(self, x, y):
         x, y = _coerce(x), _coerce(y)
         row = [y]
-        if self._table:
-            last = self._table[-1]
-            for k in range(len(last)):
-                row.append((row[k] - last[k]) / (x - self.xs[len(self.xs) - 1 - k]))
+        for k, prev in enumerate(self._row):
+            row.append((row[k] - prev) / (x - self.xs[len(self.xs) - 1 - k]))
         self.xs.append(x)
-        self._table.append(row)
+        self._row = row
         self.diffs.append(row[-1])
 
     def tail_is_zero(self, count: int) -> bool:
@@ -896,3 +897,87 @@ def rational_nodes():
         yield QQ(k)
         yield QQ(-k)
         k += 1
+
+
+# invalid nodes an exact function may have before it counts as degenerate
+SKIP_BUDGET = 60
+
+
+class NodeValues:
+    """An exact function of one rational, evaluated at most once per node.
+
+    compute(t) returns the value at t, or None at a node that must be skipped
+    (a specialization that drops degree or degenerates). Callers that probe a
+    few nodes before interpolating share the values through one instance,
+    which lives no longer than the call that made it.
+    """
+
+    def __init__(self, compute, skip_zero=False):
+        self._compute = compute
+        self._skip_zero = skip_zero
+        self._cache = {}
+
+    def __call__(self, t):
+        if t not in self._cache:
+            self._cache[t] = self._compute(t)
+        return self._cache[t]
+
+    def points(self):
+        """(node, value) at the valid nodes, in the order of rational_nodes()."""
+        nodes = rational_nodes()
+        if self._skip_zero:
+            next(nodes)
+        skips = 0
+        for t in nodes:
+            y = self(t)
+            if y is not None:
+                yield t, y
+                continue
+            skips += 1
+            if skips > SKIP_BUDGET:
+                raise DegeneracyError(
+                    "degenerate-specialization", "too many invalid interpolation nodes"
+                )
+
+
+def interpolate_verified(compute, bound: int, var="x", max_pole_order: int = 0):
+    """Exact polynomial recovered from an exact function of one rational.
+
+    compute is a function as NodeValues takes, evaluated at most once per
+    node. Its values are rationals, or tuples of rationals that are
+    interpolated componentwise (a list of polynomials is returned; short
+    tuples are padded with zeros).
+    Finds the smallest k <= max_pole_order such that t^k * value(t),
+    interpolated at bound + k + 1 valid nodes, matches at the next 3; with
+    max_pole_order = 0 the value is an ordinary polynomial, otherwise the
+    node 0, the possible pole, is never used. If no k verifies, the bound
+    doubles once before the function counts as degenerate.
+    """
+    values = NodeValues(compute, skip_zero=max_pole_order > 0)
+    for size in (bound, 2 * bound):
+        for k in range(max_pole_order + 1):
+            points = values.points()
+            fit = list(islice(points, size + k + 1))
+            width = max(len(_row(y)) for _, y in fit)
+            polys = [
+                interpolate([(t, _entry(y, j) * t**k) for t, y in fit], var)
+                for j in range(width)
+            ]
+            if all(
+                len(_row(y)) <= width
+                and all(p.eval(t) == _entry(y, j) * t**k for j, p in enumerate(polys))
+                for t, y in islice(points, 3)
+            ):
+                return polys if isinstance(fit[0][1], tuple) else polys[0]
+    raise DegeneracyError(
+        "interpolation-verification", "interpolated polynomial failed verification"
+    )
+
+
+def _row(y):
+    return y if isinstance(y, tuple) else (y,)
+
+
+def _entry(y, j):
+    row = _row(y)
+    return row[j] if j < len(row) else 0

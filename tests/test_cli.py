@@ -110,6 +110,12 @@ def test_parse_error_exit_2(tmp_path):
     assert main(["distance", "--input", str(path)]) == 2
 
 
+def test_bits_flag_is_validated(tmp_path, capsys):
+    code, _ = run(tmp_path, "distance", ELLIPSE_POINT, "--bits", "4")
+    assert code == 2
+    assert "bits must be at least 8" in capsys.readouterr().err
+
+
 def test_degeneracy_exit_3(tmp_path):
     # empty real surface: -x^2 - y^2 = 1
     problem = {

@@ -26,6 +26,7 @@ from qdist.metrics import (
     centered_distance_poly,
     centered_intersects,
     general_distance_poly,
+    general_distance_poly_full,
     general_intersects,
     normalize,
     point_distance_poly,
@@ -334,6 +335,18 @@ def test_orthogonal_invariance_signed_permutation():
 
     f2 = general_distance_poly(transform(e1), transform(e2))
     assert f.normalized() == f2.normalized()
+
+
+def test_general_distance_poly_deflated_branch():
+    # a circle against an ellipse on its axis: the bivariate determinant
+    # vanishes at every node, so F(z) comes from the deflated values
+    e = ellipsoid_at(MatrixQ([[1, 0], [0, 4]]), VectorQ([4, 0]))
+    f, square = general_distance_poly_full(unit_circle(), e)
+    assert square is None
+    assert f.coeffs == tuple(QQ(c) for c in (
+        1046872756224, 40389215744, -30833811312, -11824906824, -236680415,
+        63565104, 13368672, -1154304, 20736,
+    ))
 
 
 def test_part_iv_multiplier_matrix_nonsingular_on_simple_zero():

@@ -1,17 +1,21 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_poly, sylvester_resultant
+from qdist.errors import DegeneracyError
 from qdist.poly import (
     BiPoly,
+    NodeValues,
     ParamPoly,
     RatFunc,
     UniPoly,
     divrem,
     gcd_squarefree,
+    interpolate_verified,
     poly_gcd,
     resultant,
     squarefree_decomposition,
@@ -208,3 +212,50 @@ def test_ratfunc_arithmetic():
     with pytest.raises(ZeroDivisionError):
         f / RatFunc(UniPoly.zero("a"))
     assert f.derivative() == 1
+
+
+def test_interpolate_verified_recovers_polynomial():
+    p = UniPoly([3, QQ(-1, 2), 0, 7, QQ(2, 5)], "t")
+    assert interpolate_verified(p.eval, 4, "t") == p
+    # tuple values are interpolated componentwise; at t = 0 the trimmed
+    # coefficients of 1 + t*z are the short tuple (1,), padded with a zero
+    cols = interpolate_verified(lambda t: UniPoly([1, t], "z").coeffs, 1, "t")
+    assert cols == [UniPoly([1], "t"), UniPoly([0, 1], "t")]
+
+
+def test_interpolate_verified_finds_minimal_pole_order():
+    p = UniPoly([5, -2, 0, 1], "t")  # nonzero at t = 0, so the pole order is exact
+    for k in range(4):
+        f = interpolate_verified(lambda t: p.eval(t) / t**k, 3, "t", max_pole_order=6)
+        assert f == p
+
+
+def test_interpolate_verified_skip_budget():
+    with pytest.raises(DegeneracyError) as exc:
+        interpolate_verified(lambda t: None, 3, "t")
+    assert exc.value.code == "degenerate-specialization"
+    # 19 skipped nodes (t = 0, ±1, ..., ±9) stay within the budget
+    p = UniPoly([1, 2, 3], "t")
+    assert interpolate_verified(lambda t: None if abs(t) < 10 else p.eval(t), 2, "t") == p
+
+
+def test_interpolate_verified_doubles_the_bound_once():
+    p = UniPoly([1, 0, 0, 0, 0, 0, 0, 1], "t")  # degree 7
+    assert interpolate_verified(p.eval, 4, "t") == p  # 4 < 7 <= 8
+    with pytest.raises(DegeneracyError) as exc:
+        interpolate_verified(p.eval, 3, "t")  # 7 > 6
+    assert exc.value.code == "interpolation-verification"
+
+
+def test_interpolate_verified_evaluates_each_node_once():
+    p = UniPoly([2, 0, 1], "t")
+    seen = []
+
+    def compute(t):
+        seen.append(t)
+        return None if t == 2 else p.eval(t) / t**2
+
+    values = NodeValues(compute, skip_zero=True)
+    assert [t for t, _ in islice(values.points(), 3)] == [1, -1, -2]
+    assert interpolate_verified(values, 2, "t", max_pole_order=4) == p
+    assert 0 not in seen and len(seen) == len(set(seen))
