@@ -60,6 +60,8 @@ class ProblemFile:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         options = data.get("options", {})
+        if not isinstance(options, dict):
+            raise ValueError("options must be a JSON object")
         self.bits = _valid_bits(options.get("bits", 128))
         self.exact = bool(options.get("exact", False))
         self.quadric = None
@@ -136,6 +138,8 @@ def _parse_family(data) -> QuadricFamily:
     c = _parse_tpoly(data["c"]) if "c" in data else None
     interval = data.get("interval")
     if interval is not None:
+        if not isinstance(interval, list) or len(interval) != 2:
+            raise ValueError("family interval must be a list [lo, hi]")
         interval = (_rat(interval[0]), _rat(interval[1]))
     return QuadricFamily(a, b, c, interval)
 

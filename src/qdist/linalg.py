@@ -123,16 +123,11 @@ class MatrixQ:
         return cls([[values[i] if i == j else QQ(0) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def symmetric(cls, entries):
-        m = cls(entries)
-        if not m.is_symmetric():
-            raise ValueError("matrix is not symmetric")
-        return m
-
-    @classmethod
     def from_columns(cls, columns):
         cols = [list(c) for c in columns]
         n = len(cols[0])
+        if any(len(c) != n for c in cols):
+            raise ValueError("ragged columns")
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
     # -- queries -----------------------------------------------------------
@@ -431,14 +426,13 @@ def char_poly(m: MatrixQ, var="x") -> UniPoly:
 def eigenvalue_sign_counts(m: MatrixQ):
     """(#negative, #zero, #positive) eigenvalue signs of a symmetric matrix.
 
-    Counts come from a Sturm count on the characteristic polynomial, so they
-    refer to distinct eigenvalues; only presence/absence of each sign is
+    Counts come from the isolated roots of the characteristic polynomial, so
+    they refer to distinct eigenvalues; only presence/absence of each sign is
     meaningful to callers.
     """
-    from .realroots import count_sign_ranges
+    from .realroots import isolate_real_roots, root_sign_counts
 
-    p = char_poly(m)
-    return count_sign_ranges(p)
+    return root_sign_counts(isolate_real_roots(char_poly(m)))
 
 
 def definiteness(m: MatrixQ) -> str:

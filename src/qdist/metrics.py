@@ -41,8 +41,8 @@ from .realroots import (
     NO_REAL_ROOTS,
     isolate_real_roots,
     positive_roots,
-    real_root_signs,
     refine_interval,
+    root_signs_summary,
 )
 from .scalar import QQ, rational, snap, sqrt_approx, tolerance
 
@@ -118,10 +118,6 @@ class LinearVariety:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("LinearVariety is immutable")
 
-    @property
-    def homogeneous(self) -> bool:
-        return self.h.is_zero()
-
     def residual_at(self, y: VectorQ):
         r = self.c.transpose() * y - self.h
         return max((abs(e) for e in r), default=QQ(0))
@@ -192,76 +188,40 @@ def _check_nonempty(q: Quadric, d: str, subject: str):
 # ---------------------------------------------------------------------------
 
 
-def _pencil_from_affine_entry(d0: UniPoly, k: UniPoly) -> ParamPoly:
-    """Assemble D0(mu) + mu*z*K(mu) as a polynomial in mu with z-linear coefficients."""
-    deg = max(d0.degree, k.degree + 1)
-    coeffs = []
-    for j in range(deg + 1):
-        const = d0.coeff(j)
-        zc = k.coeff(j - 1) if j >= 1 else QQ(0)
-        coeffs.append(UniPoly([const, zc], ZVAR))
-    return ParamPoly(coeffs, MU, ZVAR)
+def _corner_pencil(rows, z_coeff, var) -> ParamPoly:
+    """det(rows) + z * z_coeff * det(rows without the last row and column).
+
+    ``rows`` is a square matrix of UniPoly or scalar entries in ``var``;
+    z enters only its last diagonal entry, with coefficient ``z_coeff``. The
+    result is a polynomial in ``var`` with z-linear coefficients.
+    """
+    d0 = det_unipoly_matrix(rows, var)
+    slope = z_coeff * det_unipoly_matrix([row[:-1] for row in rows[:-1]], var)
+    deg = max(d0.degree, slope.degree)
+    return ParamPoly(
+        [UniPoly((d0.coeff(j), slope.coeff(j)), ZVAR) for j in range(deg + 1)],
+        var,
+        ZVAR,
+    )
 
 
 def variety_pencil(e: Quadric, v: LinearVariety) -> ParamPoly:
     """The bordered-determinant pencil for an ellipsoid vs linear variety.
 
-    Rows carrying the Gram block are pre-scaled by mu so the result is a
-    genuine polynomial in mu; z enters linearly through the corner entry.
-    When the columns are orthonormal the smaller equivalent determinant is
-    used.
+    det([A | C | B; mu C^T | G | -mu h; B^T | -h^T | -1 + mu z]): the rows
+    carrying the Gram block are pre-scaled by mu so the result is a genuine
+    polynomial in mu; z enters linearly through the corner entry.
     """
     n, k = e.dim, v.codim
     mu = UniPoly.x(MU)
     a, b, c, h, g = e.a, e.b, v.c, v.h, v.gram
-    if g == MatrixQ.identity(k) and v.homogeneous:
-        # reduced form: det([[A - mu C C^T, B], [B^T, -1 + mu z]])
-        cct = c * c.transpose()
-        rows = []
-        for i in range(n):
-            rows.append(
-                [a.entry(i, j) - mu * cct.entry(i, j) for j in range(n)]
-                + [UniPoly.const(b[i], MU)]
-            )
-        rows.append([UniPoly.const(b[j], MU) for j in range(n)] + [UniPoly.const(QQ(-1), MU)])
-        d0 = det_unipoly_matrix(rows, MU)
-        krows = [
-            [a.entry(i, j) - mu * cct.entry(i, j) for j in range(n)] for i in range(n)
-        ]
-        kpoly = det_unipoly_matrix(krows, MU)
-        return _pencil_from_affine_entry(d0, kpoly)
-    # full bordered determinant with the Gram rows scaled by mu
-    size = n + 1 + k
-    rows = []
-    for i in range(n):
-        rows.append(
-            [UniPoly.const(a.entry(i, j), MU) for j in range(n)]
-            + [UniPoly.const(b[i], MU)]
-            + [UniPoly.const(c.entry(i, j), MU) for j in range(k)]
-        )
-    rows.append(
-        [UniPoly.const(b[j], MU) for j in range(n)]
-        + [UniPoly.const(QQ(-1), MU)]
-        + [UniPoly.const(-h[j], MU) for j in range(k)]
-    )
-    for i in range(k):
-        rows.append(
-            [mu * c.entry(j, i) for j in range(n)]
-            + [mu * (-h[i])]
-            + [UniPoly.const(g.entry(i, j), MU) for j in range(k)]
-        )
-    d0 = det_unipoly_matrix(rows, MU)
-    krows = [
-        [UniPoly.const(a.entry(i, j), MU) for j in range(n)]
-        + [UniPoly.const(c.entry(i, j), MU) for j in range(k)]
-        for i in range(n)
-    ] + [
-        [mu * c.entry(j, i) for j in range(n)]
-        + [UniPoly.const(g.entry(i, j), MU) for j in range(k)]
+    rows = [list(a.entries[i]) + list(c.entries[i]) + [b[i]] for i in range(n)]
+    rows += [
+        [mu * c.entry(j, i) for j in range(n)] + list(g.entries[i]) + [mu * (-h[i])]
         for i in range(k)
     ]
-    kpoly = det_unipoly_matrix(krows, MU)
-    return _pencil_from_affine_entry(d0, kpoly)
+    rows.append(list(b) + [-x for x in h] + [QQ(-1)])
+    return _corner_pencil(rows, mu, MU)
 
 
 def bordered_point_pencil(a, b, c, x0: VectorQ) -> ParamPoly:
@@ -272,13 +232,13 @@ def bordered_point_pencil(a, b, c, x0: VectorQ) -> ParamPoly:
     """
     n = len(a)
     mu = UniPoly.x(MU)
-    krows = [[a[i][j] - (mu if i == j else 0) for j in range(n)] for i in range(n)]
     border = [b[i] + mu * x0[i] for i in range(n)]
-    rows = [krows[i] + [border[i]] for i in range(n)]
+    rows = [
+        [a[i][j] - (mu if i == j else 0) for j in range(n)] + [border[i]]
+        for i in range(n)
+    ]
     rows.append(border + [UniPoly((c, -x0.dot(x0)), MU)])
-    return _pencil_from_affine_entry(
-        det_unipoly_matrix(rows, MU), det_unipoly_matrix(krows, MU)
-    )
+    return _corner_pencil(rows, mu, MU)
 
 
 def point_pencil(e: Quadric, x0: VectorQ) -> ParamPoly:
@@ -308,29 +268,19 @@ def centered_pencil(q1: Quadric, q2: Quadric) -> ParamPoly:
 
 
 def general_sign_pencil(q1: Quadric, q2: Quadric) -> ParamPoly:
-    """Pencil whose discriminant's real-root signs certify intersection."""
+    """Pencil whose discriminant's real-root signs certify intersection.
+
+    det([A2 - lam A1 | B2 - lam B1; (B2 - lam B1)^T | lam - 1 - z]).
+    """
     n = q1.dim
     lam = UniPoly.x(LAM)
-    rows = []
-    for i in range(n):
-        rows.append(
-            [q2.a.entry(i, j) - lam * q1.a.entry(i, j) for j in range(n)]
-            + [q2.b[i] - lam * q1.b[i]]
-        )
-    rows.append(
-        [q2.b[j] - lam * q1.b[j] for j in range(n)] + [UniPoly.const(QQ(-1), LAM) + lam]
-    )
-    d0 = det_unipoly_matrix(rows, LAM)
-    # z multiplies the corner cofactor with coefficient -1
-    krows = [
-        [q2.a.entry(i, j) - lam * q1.a.entry(i, j) for j in range(n)] for i in range(n)
+    border = [q2.b[i] - lam * q1.b[i] for i in range(n)]
+    rows = [
+        [q2.a.entry(i, j) - lam * q1.a.entry(i, j) for j in range(n)] + [border[i]]
+        for i in range(n)
     ]
-    kpoly = det_unipoly_matrix(krows, LAM)
-    deg = max(d0.degree, kpoly.degree)
-    coeffs = []
-    for j in range(deg + 1):
-        coeffs.append(UniPoly([d0.coeff(j), -kpoly.coeff(j)], ZVAR))
-    return ParamPoly(coeffs, LAM, ZVAR)
+    rows.append(border + [lam - 1])
+    return _corner_pencil(rows, -1, LAM)
 
 
 def general_bipoly_at(q1: Quadric, q2: Quadric, z):
@@ -527,9 +477,9 @@ def general_intersects(q1: Quadric, q2: Quadric):
     if not phi:
         raise DegeneracyError("identically-zero-pencil", "sign pencil degenerates")
     phi = phi.normalized()
-    summary = real_root_signs(phi)
-    ambiguous = any(iv.multiplicity > 1 for iv in isolate_real_roots(phi))
-    if not ambiguous:
+    intervals = isolate_real_roots(phi)
+    summary = root_signs_summary(intervals)
+    if all(iv.multiplicity == 1 for iv in intervals):
         return summary == MIXED_OR_ZERO, summary, phi
     has_neg, has_pos, has_zero = _critical_sign_range(q1, q2)
     return has_zero or (has_neg and has_pos), summary, phi

@@ -19,6 +19,7 @@ from .metrics import (
     DistanceReport,
     RootInfo,
     _distance_fields,
+    _scaled_pencil_residuals,
     bordered_point_pencil,
     normalize,
     solve_point,
@@ -194,7 +195,6 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
             "distance surface does not depend on the parameter; "
             "endpoint members carry the answer"
         )
-    d_dt = surface.derivative(1)
 
     # only the minimal positive zero of an endpoint matters
     endpoints = []
@@ -223,7 +223,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
         z_hat = refine(iv, big_f, bits)
         if endpoints and endpoints[0].z < z_hat:
             break
-        best = _validate_interior(fam, x0, surface, d_dt, z_hat, bits)
+        best = _validate_interior(fam, x0, surface, z_hat, bits)
         if best is not None:
             break
         report.warnings.append(
@@ -253,7 +253,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     return report
 
 
-def _validate_interior(fam, x0, surface, d_dt, z_hat, bits):
+def _validate_interior(fam, x0, surface, z_hat, bits):
     """Check an interior candidate: recover t, test stationarity and attainment.
 
     Works with snapped (small-denominator) stand-ins for the refined values;
@@ -270,16 +270,9 @@ def _validate_interior(fam, x0, surface, d_dt, z_hat, bits):
     except DegeneracyError:
         return None
     t_hat = snap(t_hat, bits - 16)
-    # stationarity residuals, scaled by the coefficient size
-    scale = sum(
-        (abs(c) * max(QQ(1), abs(t_hat)) ** i for i, c in enumerate(f_at_z.coeffs)),
-        QQ(0),
-    )
-    if not scale:
-        return None
-    r0 = abs(f_at_z.eval(t_hat)) / scale
-    r1 = abs(d_dt.eval(z_snap, t_hat)) / (scale * max(QQ(1), abs(t_hat)))
-    if r0 > tol or r1 > tol:
+    # stationarity residuals, scaled by the coefficient size (and |t| for r1)
+    r0, r1 = _scaled_pencil_residuals(f_at_z, t_hat)
+    if r0 > tol or r1 > tol * max(QQ(1), abs(t_hat)):
         return None
     if fam.interval is not None:
         lo, hi = fam.interval

@@ -55,10 +55,6 @@ class UniPoly:
     def x(cls, var="x"):
         return cls((0, 1), var)
 
-    @classmethod
-    def monomial(cls, c, k, var="x"):
-        return cls((0,) * k + (c,), var)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -826,16 +822,6 @@ class BiPoly:
         for j in range(self.deg2 + 1):
             cs.append(UniPoly([row[j] for row in self.coeffs], self.vars[0]))
         return ParamPoly(cs, self.vars[1], self.vars[0])
-
-    def content(self):
-        import math
-
-        gn = 0
-        ld = 1
-        for _, c in self.terms():
-            gn = math.gcd(gn, abs(int(c.numerator)))
-            ld = ld * int(c.denominator) // math.gcd(ld, int(c.denominator))
-        return QQ(gn, ld) if gn else QQ(0)
 
     def __repr__(self):
         parts = []

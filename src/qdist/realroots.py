@@ -92,28 +92,6 @@ def root_bound(p: UniPoly):
     return QQ(2) + m / lead
 
 
-def count_sign_ranges(p: UniPoly):
-    """(#roots < 0, 1 if 0 is a root else 0, #roots > 0), distinct roots."""
-    if not p:
-        raise ValueError("zero polynomial")
-    zero_mult = 0
-    cs = list(p.coeffs)
-    while cs and not cs[0]:
-        cs.pop(0)
-        zero_mult += 1
-    q = UniPoly(cs, p.var)
-    if q.degree < 1:
-        return 0, (1 if zero_mult else 0), 0
-    from .poly import squarefree_part
-
-    s = squarefree_part(q)
-    chain = sturm_chain(s)
-    b = root_bound(s)
-    neg = _var_at(chain, -b) - _var_at(chain, QQ(0))
-    pos = _var_at(chain, QQ(0)) - _var_at(chain, b)
-    return neg, (1 if zero_mult else 0), pos
-
-
 def _isolate_squarefree(s: UniPoly, lo, hi, chain):
     """Disjoint open isolating intervals for roots of square-free s in (lo, hi).
 
@@ -307,11 +285,19 @@ def min_positive_zero(p: UniPoly, bits: int = 128):
     return refine(iv, p, bits), iv.multiplicity == 1, iv.multiplicity
 
 
-def real_root_signs(p: UniPoly) -> str:
-    """Classify signs of the real roots of p."""
-    if not p:
-        raise ValueError("zero polynomial")
-    neg, zero, pos = count_sign_ranges(p)
+def root_sign_counts(intervals):
+    """(#negative, #zero, #positive) distinct roots among isolating intervals.
+
+    Intervals never straddle zero, so each one isolates a root of one sign.
+    """
+    zero = sum(1 for iv in intervals if iv.exact and not iv.lo)
+    pos = sum(1 for iv in intervals if iv.lo >= 0) - zero
+    return len(intervals) - zero - pos, zero, pos
+
+
+def root_signs_summary(intervals) -> str:
+    """Classify the signs of the roots isolated by ``intervals``."""
+    neg, zero, pos = root_sign_counts(intervals)
     if zero or (neg and pos):
         return MIXED_OR_ZERO
     if pos:
@@ -319,3 +305,8 @@ def real_root_signs(p: UniPoly) -> str:
     if neg:
         return ALL_NEGATIVE
     return NO_REAL_ROOTS
+
+
+def real_root_signs(p: UniPoly) -> str:
+    """Classify signs of the real roots of p."""
+    return root_signs_summary(isolate_real_roots(p))

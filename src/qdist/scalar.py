@@ -33,9 +33,6 @@ except ImportError:  # the default backend when the gmpy2 extra is absent
 
 RAT_TYPE = type(QQ(0))
 
-ZERO = QQ(0)
-ONE = QQ(1)
-
 
 def rational(value, den=None):
     """Coerce an int, "p/q" string or rational to an exact rational."""
@@ -48,7 +45,10 @@ def rational(value, den=None):
     if isinstance(value, int):
         return QQ(value)
     if isinstance(value, str):
-        return QQ(value.strip().replace(" ", ""))
+        try:
+            return QQ(value.strip().replace(" ", ""))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -70,14 +70,6 @@ def format_rational(q) -> str:
     if den(q) == 1:
         return str(num(q))
     return f"{num(q)}/{den(q)}"
-
-
-def sign(q) -> int:
-    if q > 0:
-        return 1
-    if q < 0:
-        return -1
-    return 0
 
 
 def ifloor(q) -> int:

@@ -116,6 +116,32 @@ def test_bits_flag_is_validated(tmp_path, capsys):
     assert "bits must be at least 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "problem, detail",
+    [
+        (dict(ELLIPSE_POINT, options=[128]), "options must be a JSON object"),
+        (
+            {
+                "kind": "family-point",
+                "family": {"a": [[1, 0], [0, 1]], "b": [[0, -1], 0], "interval": [0]},
+                "point": [3, 0],
+            },
+            "family interval must be a list [lo, hi]",
+        ),
+        (
+            dict(AXIS_PROBLEM, variety={"columns": [[0, 1, 0], [0, 0]]}),
+            "ragged columns",
+        ),
+        (dict(ELLIPSE_POINT, point=["1/0", 0]), "zero denominator in '1/0'"),
+    ],
+    ids=["options-list", "interval-one-endpoint", "ragged-columns", "zero-denominator"],
+)
+def test_malformed_input_exit_2(tmp_path, capsys, problem, detail):
+    code, _ = run(tmp_path, "distance", problem)
+    assert code == 2
+    assert detail in capsys.readouterr().err
+
+
 def test_degeneracy_exit_3(tmp_path):
     # empty real surface: -x^2 - y^2 = 1
     problem = {

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     assert_printed,
     ellipsoid_at,
+    rand_ellipsoid,
     rand_pd_matrix,
     rand_rat,
 )
@@ -28,6 +29,7 @@ from qdist.metrics import (
     general_distance_poly,
     general_distance_poly_full,
     general_intersects,
+    general_sign_pencil,
     normalize,
     point_distance_poly,
     point_pencil,
@@ -187,6 +189,65 @@ def test_orthonormal_fast_path_matches_bordered_pencil():
     f1 = discriminant_param(fast, degree_bound=6).normalized()
     f2 = discriminant_param(slow, degree_bound=6).normalized()
     assert f1 == f2
+
+
+PENCIL_SAMPLES = [(QQ(1, 3), QQ(5, 2)), (QQ(-2), QQ(7, 3)), (QQ(3, 4), QQ(-1, 5))]
+
+
+def _bordered_det(top, col, row, corner):
+    """det([[top, col], [row, corner]]) for a square list-of-rows ``top``."""
+    rows = [list(r) + [c] for r, c in zip(top, col)] + [list(row) + [corner]]
+    return determinant(MatrixQ(rows))
+
+
+def _variety_det(e, v, mu, z):
+    """det([A | B | C; B^T | -1 + mu z | -h^T; mu C^T | -mu h | G])."""
+    n, k = e.dim, v.codim
+    c, h = v.c, v.h
+    rows = [
+        list(e.a.entries[i]) + [e.b[i]] + list(c.entries[i]) for i in range(n)
+    ]
+    rows.append(list(e.b) + [-1 + mu * z] + [-x for x in h])
+    rows += [
+        [mu * c.entry(j, i) for j in range(n)] + [-mu * h[i]] + list(v.gram.entries[i])
+        for i in range(k)
+    ]
+    return determinant(MatrixQ(rows))
+
+
+def test_pencils_match_their_defining_determinants():
+    rng = random.Random(29)
+    for n in (2, 3):
+        e = rand_ellipsoid(rng, n, 3)
+        q2 = rand_ellipsoid(rng, n, 3)
+        x0 = VectorQ([rand_rat(rng) for _ in range(n)])
+        cols = [[rand_rat(rng, -3, 3, 2) for _ in range(n)] for _ in range(n - 1)]
+        offset = VectorQ([QQ(i + 2, 3) for i in range(n - 1)])
+        v = LinearVariety(MatrixQ.from_columns(cols), offset)
+        pp, vp = point_pencil(e, x0), variety_pencil(e, v)
+        sp = general_sign_pencil(e, q2)
+        for t, z in PENCIL_SAMPLES:
+            eye = MatrixQ.identity(n).scale(t)
+            border = [e.b[i] + t * x0[i] for i in range(n)]
+            assert pp.eval_point(t, z) == _bordered_det(
+                (e.a - eye).entries, border, border, -1 - t * x0.dot(x0) + t * z
+            )
+            assert vp.eval_point(t, z) == _variety_det(e, v, t, z)
+            a = q2.a - e.a.scale(t)
+            b = [q2.b[i] - t * e.b[i] for i in range(n)]
+            assert sp.eval_point(t, z) == _bordered_det(a.entries, b, b, t - 1 - z)
+
+
+def test_orthonormal_variety_pencil_matches_reduced_form():
+    e, v = axis_problem()
+    tilted = LinearVariety(MatrixQ.from_columns([[QQ(3, 5), QQ(4, 5)]]))
+    for e, v in [(e, v), (unit_circle(), tilted), (ellipse_2_1(), tilted)]:
+        pencil = variety_pencil(e, v)
+        cct = v.c * v.c.transpose()
+        for mu, z in PENCIL_SAMPLES:
+            a = e.a - cct.scale(mu)
+            reduced = _bordered_det(a.entries, e.b, e.b, -1 + mu * z)
+            assert pencil.eval_point(mu, z) == reduced == _variety_det(e, v, mu, z)
 
 
 def test_point_distance_poly_factorization_on_axis():

@@ -71,6 +71,9 @@ CASES = {
     "point-multiple-minimum": lambda: solve_point(_ellipse_2_1(), VectorQ([1, 0])),
     "point-on-surface": lambda: solve_point(_ellipse_2_1(), VectorQ([2, 0])),
     "variety-readme": lambda: solve_variety(*_readme_variety()),
+    "variety-offset": lambda: solve_variety(
+        _ellipse_2_1(), LinearVariety(MatrixQ.from_columns([[1, 1]]), VectorQ([5]))
+    ),
     "variety-intersecting": lambda: solve_variety(
         _unit_circle(), LinearVariety(MatrixQ.from_columns([[1, 0]]))
     ),
