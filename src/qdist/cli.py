@@ -281,39 +281,25 @@ def cmd_family(p: ProblemFile):
 def cmd_intersect(p: ProblemFile):
     if p.kind == "point-quadric":
         side = p.quadric.residual_at(p.point)
-        return {
-            "status": "ok",
-            "intersecting": not side,
-            "certificate": {"point_residual": format_rational(side)},
-        }
-    if p.kind == "variety-quadric":
-        inter, cert = variety_intersects(p.quadric, p.variety)
-        return {
-            "status": "ok",
-            "intersecting": inter,
-            "certificate": {"bordered_determinant": format_rational(cert)},
-        }
-    if p.kind == "centered-quadric-quadric":
+        inter, cert = not side, {"point_residual": side}
+    elif p.kind == "variety-quadric":
+        inter, det = variety_intersects(p.quadric, p.variety)
+        cert = {"bordered_determinant": det}
+    elif p.kind == "centered-quadric-quadric":
         inter, cls = centered_intersects(p.quadric, p.quadric2)
-        return {
-            "status": "ok",
-            "intersecting": inter,
-            "certificate": {"difference_definiteness": cls},
-        }
-    if p.kind == "quadric-quadric":
-        if p.quadric == p.quadric2:
-            return {"status": "ok", "intersecting": True,
-                    "certificate": {"identical": True}}
+        cert = {"difference_definiteness": cls}
+    elif p.kind == "quadric-quadric" and p.quadric == p.quadric2:
+        inter, cert = True, {"identical": True}
+    elif p.kind == "quadric-quadric":
         inter, summary, phi = general_intersects(p.quadric, p.quadric2)
-        return {
-            "status": "ok",
-            "intersecting": inter,
-            "certificate": {
-                "root_sign_summary": summary,
-                "phi": _poly_json(phi),
-            },
-        }
-    raise ValueError("intersect does not apply to family problems")
+        cert = {"root_sign_summary": summary, "phi": phi}
+    else:
+        raise ValueError("intersect does not apply to family problems")
+    return {
+        "status": "ok",
+        "intersecting": inter,
+        "certificate": _certificate_json(cert),
+    }
 
 
 def cmd_poly(p: ProblemFile):

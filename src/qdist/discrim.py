@@ -419,7 +419,6 @@ def discriminant_biv_param(
     expected_degree: int,
     degree_bound: int,
     var: str = "z",
-    max_pole_order: int | None = None,
 ) -> UniPoly:
     """Interpolated bivariate discriminant of a parameter-dependent polynomial.
 
@@ -443,8 +442,7 @@ def discriminant_biv_param(
             return None
 
     n = expected_degree
-    if max_pole_order is None:
-        max_pole_order = 2 * n * (n - 1)
+    max_pole_order = 2 * n * (n - 1)
     matrices = NodeValues(matrix_at, skip_zero=True)
 
     def det_at(t):

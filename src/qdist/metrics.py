@@ -357,69 +357,39 @@ def centered_intersects(q1: Quadric, q2: Quadric):
     return cls not in (POSITIVE_DEFINITE, NEGATIVE_DEFINITE), cls
 
 
-def _critical_sign_range(q1: Quadric, q2: Quadric, bits: int = 96):
+def _critical_sign_range(pencil: ParamPoly):
     """Signs of the second quadric's function over the first ellipsoid.
 
     The critical points of V(X) = X^T A2 X + 2 B2^T X - 1 on the first
-    surface satisfy X(lam) = (A2 - lam A1)^(-1) (lam B1 - B2) together with
-    the first surface equation; substituting the parameterization gives one
-    polynomial H(lam) whose real zeros carry every critical point. V is
-    continuous on a compact surface, so its range is [min, max] over those
-    zeros and the intersection verdict only needs the signs, determined
-    exactly by refining each root bracket until the sign polynomial has no
-    zero inside it.
+    surface U(X) = 0 are X(lam) = -M^(-1) (B2 - lam B1) with M = A2 - lam A1,
+    at the real zeros lam of U(X(lam)). V is continuous on a compact surface,
+    so its range is [min, max] over those zeros and the intersection verdict
+    only needs the signs, determined exactly by refining each root bracket
+    until the sign polynomial has no zero inside it.
+
+    Both polynomials come from the sign pencil c0(lam) + z c1(lam), where
+    c1 = -det M and the pencil vanishes at z(lam) = -c0/c1, the value of
+    V - lam U at X(lam). Its derivative is z'(lam) = -U(X(lam)), so the
+    constraint is h = det M^2 U(X(lam)) = c0' c1 - c0 c1' and the sign
+    polynomial is det M^2 V(X(lam)) = lam h - c0 c1.
 
     Returns (has_negative_or_zero, has_positive_or_zero, has_zero).
     """
     from .poly import poly_gcd
-    from .realroots import refine_interval, sturm_chain, _count_between
+    from .realroots import sturm_chain, _count_between
 
-    n = q1.dim
-    lam = UniPoly.x(LAM)
-    m_rows = [
-        [q2.a.entry(i, j) - lam * q1.a.entry(i, j) for j in range(n)]
-        for i in range(n)
-    ]
-    det_m = det_unipoly_matrix(m_rows, LAM)
-    # adjugate of the polynomial matrix, via cofactors of the minors
-    def minor(rows, i, j):
-        sub = [
-            [rows[r][c] for c in range(n) if c != j]
-            for r in range(n)
-            if r != i
-        ]
-        if not sub:
-            return UniPoly.const(1, LAM)
-        return det_unipoly_matrix(sub, LAM)
-
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mnr = minor(m_rows, j, i)
-            adj[i][j] = mnr if (i + j) % 2 == 0 else -mnr
-    rhs = [lam * q1.b[i] - q2.b[i] for i in range(n)]
-    w = [
-        sum((adj[i][j] * rhs[j] for j in range(n)), UniPoly.zero(LAM))
-        for i in range(n)
-    ]
-
-    def quad_value(a, b):
-        acc = UniPoly.zero(LAM)
-        for i in range(n):
-            row = sum((a.entry(i, j) * w[j] for j in range(n)), UniPoly.zero(LAM))
-            acc = acc + w[i] * row
-        lin = sum((b[i] * w[i] for i in range(n)), UniPoly.zero(LAM))
-        return acc + 2 * det_m * lin - det_m * det_m
-
-    h = quad_value(q1.a, q1.b)
-    v_num = quad_value(q2.a, q2.b)
+    bits = 96
+    c0 = pencil.eval_param(0)
+    c1 = pencil.eval_param(1) - c0
+    h = c0.derivative() * c1 - c0 * c1.derivative()
+    v_num = UniPoly.x(pencil.main_var) * h - c0 * c1
     if not h:
         raise DegeneracyError("degenerate-critical-system", "constraint vanishes")
     # strip multiplier values where the parameterization blows up
-    g = poly_gcd(h, det_m)
+    g = poly_gcd(h, c1)
     while g.degree > 0:
         h = h / g
-        g = poly_gcd(h, det_m)
+        g = poly_gcd(h, c1)
     if h.degree < 1:
         raise DegeneracyError(
             "degenerate-critical-system", "no finite critical multipliers"
@@ -481,7 +451,7 @@ def general_intersects(q1: Quadric, q2: Quadric):
     summary = root_signs_summary(intervals)
     if all(iv.multiplicity == 1 for iv in intervals):
         return summary == MIXED_OR_ZERO, summary, phi
-    has_neg, has_pos, has_zero = _critical_sign_range(q1, q2)
+    has_neg, has_pos, has_zero = _critical_sign_range(pencil)
     return has_zero or (has_neg and has_pos), summary, phi
 
 
@@ -568,27 +538,6 @@ def centered_distance_poly(q1: Quadric, q2: Quadric) -> UniPoly:
     return _finalize_distance_poly(f)
 
 
-def translate_quadric(q: Quadric, tau: VectorQ) -> Quadric | None:
-    """The same surface shifted by +tau, renormalized; None if that fails."""
-    c = tau.dot(q.a * tau) - 2 * q.b.dot(tau) - 1
-    if not c:
-        return None
-    b = q.b - (q.a * tau)
-    return normalize(q.a, b, c)
-
-
-def _translation_candidates(n: int):
-    base = [
-        [QQ(0)] * (n - 1) + [QQ(1)],
-        [QQ(1, i + 2) for i in range(n)],
-        [QQ(0)] * (n - 1) + [QQ(2)],
-        [QQ(i + 1, 2) for i in range(n)],
-        [QQ(-1, i + 3) for i in range(n)],
-        [QQ(2 * i + 1, 3) for i in range(n)],
-    ]
-    return [VectorQ(v) for v in base]
-
-
 def _general_raw(q1: Quadric, q2: Quadric) -> UniPoly:
     n = q1.dim
     expected = n + 2
@@ -665,7 +614,7 @@ def _pencil_multiple_zero(pencil: ParamPoly, z_hat, bits: int):
     Raises when the residuals fail the acceptance gate.
     """
     g = pencil.eval_param(z_hat)
-    root = snap(multiple_zero_uni(bezout_matrix(g), strict=False), bits - 16)
+    root = snap(multiple_zero_uni(bezout_matrix(g), strict=False), bits)
     r0, r1 = _scaled_pencil_residuals(g, root)
     tol = tolerance(bits)
     if r0 > tol or r1 > tol:
@@ -681,7 +630,7 @@ def variety_nearest_points(e: Quadric, v: LinearVariety, z_hat, bits: int = 128)
     Returns (X, Y, info) where info carries the multiplier data and residuals.
     """
     mu, residuals = _pencil_multiple_zero(
-        variety_pencil(e, v), snap(z_hat, bits - 16), bits
+        variety_pencil(e, v), snap(z_hat, bits), bits
     )
     a_inv = inverse(e.a)
     m = (v.c.transpose() * a_inv * v.c).scale(mu) - v.gram
@@ -715,7 +664,7 @@ def centered_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128):
     from .linalg import adjugate
 
     n = q1.dim
-    z = snap(z_hat, bits - 16)
+    z = snap(z_hat, bits)
     lam, residuals = _pencil_multiple_zero(centered_pencil(q1, q2), z, bits)
     coef = lam * (z - lam)
     m = q1.a.scale(lam) + q2.a.scale(z - lam) - (q2.a * q1.a).scale(coef)
@@ -752,12 +701,12 @@ def centered_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128):
 
 def general_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128):
     """Nearest points for general quadrics via the two recovered multipliers."""
-    z_hat = snap(z_hat, bits - 16)
+    z_hat = snap(z_hat, bits)
     g = general_bipoly_at(q1, q2, z_hat)
     data = bezout_matrix_biv(g)
     mu1, mu2 = multiple_zero_biv(data, strict=False)
-    mu1 = snap(mu1, bits - 16)
-    mu2 = snap(mu2, bits - 16)
+    mu1 = snap(mu1, bits)
+    mu2 = snap(mu2, bits)
     # residual gate on the bivariate pencil
     tol = tolerance(bits)
     scale = sum((abs(c) for _, c in g.terms()), QQ(0)) * max(
@@ -1017,38 +966,6 @@ def solve_general(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:
         )
     if _sphere_data(q1) is not None and _sphere_data(q2) is not None:
         return _solve_sphere_sphere(q1, q2, bits)
-    try:
-        return _solve_general_direct(q1, q2, bits)
-    except DegeneracyError as first_exc:
-        # symmetric configurations (coaxial, concentric) degenerate the
-        # two-multiplier pencil identically; a common translation of both
-        # surfaces preserves every distance and breaks the alignment
-        for tau in _translation_candidates(q1.dim):
-            t1 = translate_quadric(q1, tau)
-            t2 = translate_quadric(q2, tau)
-            if t1 is None or t2 is None:
-                continue
-            try:
-                report = _solve_general_direct(t1, t2, bits)
-            except DegeneracyError:
-                continue
-            report.warnings.append(
-                "solved in coordinates translated by "
-                + "(" + ", ".join(str(c) for c in tau) + ")"
-            )
-            report.nearest_pairs = [
-                NearestPair(
-                    tuple(a - b for a, b in zip(p.x, tau)),
-                    tuple(a - b for a, b in zip(p.y, tau)),
-                    p.residuals,
-                )
-                for p in report.nearest_pairs
-            ]
-            return report
-        raise first_exc
-
-
-def _solve_general_direct(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport:
     inter, summary, phi = general_intersects(q1, q2)
     report = DistanceReport(
         kind="quadric-quadric",

@@ -260,7 +260,7 @@ def _validate_interior(fam, x0, surface, z_hat, bits):
     the induced residual error stays orders of magnitude below the gate.
     """
     tol = tolerance(bits)
-    z_snap = snap(z_hat, bits - 16)
+    z_snap = snap(z_hat, bits)
     f_at_z = surface.eval_var(0, z_snap)  # polynomial in t
     if f_at_z.degree < 2:
         return None
@@ -269,7 +269,7 @@ def _validate_interior(fam, x0, surface, z_hat, bits):
         t_hat = multiple_zero_uni(data, strict=False)
     except DegeneracyError:
         return None
-    t_hat = snap(t_hat, bits - 16)
+    t_hat = snap(t_hat, bits)
     # stationarity residuals, scaled by the coefficient size (and |t| for r1)
     r0, r1 = _scaled_pencil_residuals(f_at_z, t_hat)
     if r0 > tol or r1 > tol * max(QQ(1), abs(t_hat)):

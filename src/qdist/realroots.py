@@ -134,7 +134,6 @@ def isolate_real_roots(p: UniPoly):
     s = UniPoly.const(1, p.var)
     for f, _ in factors:
         s = s * f
-    intervals = []
     # treat a root at zero separately so every other interval has a fixed sign
     zero_root = not s.eval(QQ(0))
     if zero_root:
@@ -148,27 +147,16 @@ def isolate_real_roots(p: UniPoly):
         eps = QQ(1)
         while not s_rest.eval(eps) or not s_rest.eval(-eps):
             eps = eps / 2
-        raw.extend(_isolate_squarefree(s_rest, -b, -eps, chain))
         if not s_rest.eval(QQ(0)):
             raise AssertionError("zero root not factored out")
-        raw.extend(_isolate_squarefree(s_rest, -eps, eps, chain))
-        raw.extend(_isolate_squarefree(s_rest, eps, b, chain))
+        # split at zero so every interval lies on one side of it
+        for lo, hi in ((-b, -eps), (-eps, QQ(0)), (QQ(0), eps), (eps, b)):
+            raw.extend(_isolate_squarefree(s_rest, lo, hi, chain))
     if zero_root:
         raw.append((QQ(0), QQ(0)))
-    # keep every interval on one side of zero so positivity is decidable
-    sided = []
-    for a, bnd in raw:
-        if a < 0 < bnd:
-            sa, s0 = s_rest.eval(a), s_rest.eval(QQ(0))
-            if (sa > 0) != (s0 > 0):
-                sided.append((a, QQ(0)))
-            else:
-                sided.append((QQ(0), bnd))
-        else:
-            sided.append((a, bnd))
     # collapse intervals whose root is a recognizable rational
     refined = []
-    for a, bnd in sided:
+    for a, bnd in raw:
         if a == bnd:
             refined.append((a, bnd))
             continue

@@ -101,13 +101,14 @@ def tolerance(bits: int):
 
 
 def snap(value, bits: int):
-    """Simplest rational within 2^-bits of the value.
+    """Simplest rational within 2^-max(bits - 16, 0) of the value.
 
-    Recovery formulas are Lipschitz in their inputs, so working with the
-    snapped value keeps residuals far below tolerance while keeping the
-    intermediate integers small.
+    ``bits`` is the refinement precision; the snap keeps 16 guard bits below
+    it and never widens past 1. Recovery formulas are Lipschitz in their
+    inputs, so working with the snapped value keeps residuals far below
+    tolerance while keeping the intermediate integers small.
     """
-    w = QQ(1, 1 << bits)
+    w = QQ(1, 1 << max(bits - 16, 0))
     return simplest_in_interval(value - w, value + w)
 
 

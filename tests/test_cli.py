@@ -116,6 +116,17 @@ def test_bits_flag_is_validated(tmp_path, capsys):
     assert "bits must be at least 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bits", ["8", "15"])
+def test_low_bits_exit_0_without_nearest_points(tmp_path, bits):
+    # below 16 bits the recovery snap is capped at width 1 instead of
+    # shifting by a negative count; every candidate then fails its gate
+    code, text = run(tmp_path, "distance", AXIS_PROBLEM, "--bits", bits)
+    assert code == 0
+    rep = json.loads(text)
+    assert "nearest_pairs" not in rep
+    assert rep["warnings"][-1] == "no positive zero supported nearest-point recovery"
+
+
 @pytest.mark.parametrize(
     "problem, detail",
     [

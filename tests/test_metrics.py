@@ -44,7 +44,7 @@ from qdist.metrics import (
     variety_pencil,
 )
 from qdist.poly import RatFunc, UniPoly
-from qdist.realroots import min_positive_zero
+from qdist.realroots import isolate_real_roots, min_positive_zero
 from qdist.scalar import QQ
 
 Z = UniPoly.x("z")
@@ -138,6 +138,69 @@ def test_general_intersects_cases():
     # would put the surface through the origin and defeat normalization)
     assert general_intersects(unit_circle(), circle_at(QQ(3, 2), 0))[0]
     assert not general_intersects(unit_circle(), circle_at(4, 0))[0]
+
+
+def diag_ellipse(diagonal, center):
+    """(X-c)^T D (X-c) = 1 for a diagonal shape D."""
+    return ellipsoid_at(MatrixQ.diag([QQ(d) for d in diagonal]), VectorQ(center))
+
+
+@pytest.mark.parametrize(
+    "q1, q2, intersecting, summary",
+    [
+        (diag_ellipse([1, 4], [0, 0]), diag_ellipse([4, 1], [5, 0]), False, "mixed-or-zero"),
+        (unit_circle(), diag_ellipse([1, 4], [4, 0]), False, "all-negative"),
+        (diag_ellipse([1, 4], [0, 0]), diag_ellipse([4, 1], [1, 0]), True, "mixed-or-zero"),
+        (
+            diag_ellipse([1, QQ(1, 4)], [0, 0]),
+            diag_ellipse([QQ(1, 25), QQ(1, 36)], [1, 0]),
+            False,
+            "all-negative",
+        ),
+        (
+            ellipsoid_at(MatrixQ([[2, 1], [1, 2]]), VectorQ([0, 0])),
+            ellipsoid_at(MatrixQ([[2, -1], [-1, 2]]), VectorQ([QQ(1, 2), QQ(1, 2)])),
+            True,
+            "mixed-or-zero",
+        ),
+    ],
+    ids=["coaxial-apart", "circle-on-axis", "coaxial-crossing", "nested", "tilted-crossing"],
+)
+def test_general_intersects_multiple_phi_zero(q1, q2, intersecting, summary):
+    # a multiple real zero of Phi sends the verdict to the critical values
+    # of the second quadric's function on the first surface; the sign
+    # summary alone would call the coaxial-apart pair intersecting
+    inter, sign_summary, phi = general_intersects(q1, q2)
+    assert any(iv.multiplicity > 1 for iv in isolate_real_roots(phi))
+    assert sign_summary == summary
+    assert inter == intersecting
+
+
+@pytest.mark.parametrize(
+    "q1, q2, code",
+    [
+        (
+            diag_ellipse([1, 2], [0, 0]),
+            diag_ellipse([QQ(1, 9), QQ(1, 16)], [0, 0]),
+            "degenerate-critical-system",
+        ),
+        (
+            diag_ellipse([1, 2], [1, 1]),
+            diag_ellipse([QQ(1, 9), QQ(1, 16)], [1, 1]),
+            "degenerate-critical-system",
+        ),
+        (
+            diag_ellipse([1, 2, 2], [0, 0, 0]),
+            diag_ellipse([2, 1, 1], [4, 0, 0]),
+            "identically-zero-pencil",
+        ),
+    ],
+    ids=["concentric-at-origin", "concentric-at-1-1", "coaxial-revolution"],
+)
+def test_solve_general_symmetric_pair_is_classified(q1, q2, code):
+    with pytest.raises(DegeneracyError) as exc:
+        solve_general(q1, q2)
+    assert exc.value.code == code
 
 
 # -- distance polynomials -----------------------------------------------------
