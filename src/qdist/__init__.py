@@ -50,7 +50,6 @@ from .discrim import (
     linear_representation,
     multiple_zero_biv,
     multiple_zero_uni,
-    reduce_mod_gradient,
 )
 from .realroots import (
     IsolatingInterval,

@@ -44,10 +44,11 @@ KINDS = (
 
 
 def _valid_bits(value) -> int:
-    bits = int(value)
-    if bits < 8:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("bits must be an integer")
+    if value < 8:
         raise ValueError("bits must be at least 8")
-    return bits
+    return value
 
 
 class ProblemFile:
@@ -63,7 +64,9 @@ class ProblemFile:
         if not isinstance(options, dict):
             raise ValueError("options must be a JSON object")
         self.bits = _valid_bits(options.get("bits", 128))
-        self.exact = bool(options.get("exact", False))
+        self.exact = options.get("exact", False)
+        if not isinstance(self.exact, bool):
+            raise ValueError("exact must be true or false")
         self.quadric = None
         self.quadric2 = None
         self.point = None

@@ -1,14 +1,17 @@
 """Discriminants via matrices of division remainders.
 
 Univariate: row l of the matrix holds the remainder coefficients of
-x^l * g(x) modulo g'(x); the discriminant is N^N * lead(g)^(N-1) times the
+x^l * g(x) modulo g'(x); the discriminant is N^N * lead(g)^N times the
 determinant, and the cofactors of the last row locate a unique multiple
 zero rationally.
 
-Bivariate: the analogue reduces monomial multiples of g modulo the ideal
-generated by both partial derivatives, expressing them over a fixed basis
-of (N-1)^2 power products; the determinant of the resulting matrix equals
-the product of g over its stationary points.
+Bivariate: row m of the analogue holds the coefficients of x^m * g over a
+fixed basis of (N-1)^2 power products x^m, after reduction modulo the ideal
+generated by both partial derivatives (one echelon pass over the shifted
+partials). The determinant of that matrix equals the product of g over its
+stationary points, and its cofactors locate a unique multiple zero. Inputs
+whose shifted partials meet the basis span have no unique matrix and are
+reported as degenerate.
 
 Parameter-dependent inputs are handled by exact evaluation / interpolation
 at rational nodes with verification nodes guarding the degree bound.
@@ -34,13 +37,11 @@ from .scalar import QQ
 class BezoutData:
     """Remainder-coefficient matrix plus the cofactor data derived from it."""
 
-    def __init__(self, matrix: MatrixQ, size: int, monomial_basis=None, source=None):
+    def __init__(self, matrix: MatrixQ, size: int, source=None):
         self.matrix = matrix
         self.size = size
-        self.monomial_basis = monomial_basis
         self.source = source
         self._det = None
-        self._last_row_cofactors = None
 
     @property
     def det(self):
@@ -56,14 +57,6 @@ class BezoutData:
 
     def last_row_cofactor(self, j):
         return self._cofactor(self.size - 1, j)
-
-    @property
-    def last_row_cofactors(self):
-        if self._last_row_cofactors is None:
-            self._last_row_cofactors = tuple(
-                self.last_row_cofactor(j) for j in range(self.size)
-            )
-        return self._last_row_cofactors
 
 
 # ---------------------------------------------------------------------------
@@ -208,170 +201,100 @@ def _monomials_leq(d: int):
 class GradientReducer:
     """Reduces polynomials modulo the two partial derivatives of g.
 
-    The reduction expresses a polynomial over the fixed quotient basis plus
-    a combination of shifted partials, via one echelon pass over the shifted
-    partial derivative columns. Degenerate inputs (gradient ideal not
-    zero-dimensional of the expected degree) surface as DegeneracyError.
+    The shifted partials x^a * dg/dx_i up to the working degree are brought
+    to echelon form over a monomial order that lists the fixed quotient basis
+    last; reducing a polynomial by those pivot rows leaves its coefficients
+    over the basis. When the shifted partials span part of the basis span
+    (gradient ideal not zero-dimensional of the expected degree) those
+    coefficients are not unique, and construction raises DegeneracyError.
     """
 
-    def __init__(self, g: BiPoly, strict: bool = True, extra_degree: int = 0):
+    def __init__(self, g: BiPoly, extra_degree: int = 0):
         n = g.total_degree
         if n < 2:
             raise ValueError("degree must be at least 2")
-        self.g = g
-        self.n = n
-        self.strict = strict
-        self.extra_degree = extra_degree
         self.basis = quotient_basis_monomials(n)
         self.size = (n - 1) ** 2
         if len(self.basis) != self.size:
             raise AssertionError("basis size mismatch")
-        max_basis_deg = max(i + j for i, j in self.basis)
-        self.max_degree = max_basis_deg + n + extra_degree
-        mons = _monomials_leq(self.max_degree)
+        self.max_degree = max(i + j for i, j in self.basis) + n + extra_degree
         basis_set = set(self.basis)
-        nonbasis = [m for m in mons if m not in basis_set]
-        self.order = nonbasis + self.basis
-        self.index = {m: k for k, m in enumerate(self.order)}
+        nonbasis = [m for m in _monomials_leq(self.max_degree) if m not in basis_set]
+        self.index = {m: k for k, m in enumerate(nonbasis + self.basis)}
         self.n_nonbasis = len(nonbasis)
-        self.dim = len(self.order)
-        self._columns = []
+        self.dim = len(self.index)
+        # lead position -> nonzero (position, value) pairs, value 1 at lead
+        self.pivots = {}
         shift_deg = self.max_degree - (n - 1)
-        partials = (g.derivative(0), g.derivative(1))
-        for which, dp in enumerate(partials):
+        for dp in (g.derivative(0), g.derivative(1)):
             terms = list(dp.terms())
             for a1, a2 in _monomials_leq(shift_deg):
-                vec = [QQ(0)] * self.dim
+                v = [QQ(0)] * self.dim
                 for (i, j), c in terms:
-                    vec[self.index[(i + a1, j + a2)]] = c
-                self._columns.append((which, (a1, a2), vec))
-        self._echelon()
-
-    def _echelon(self):
-        self.pivots = {}
-        self.pivot_combos = {}
-        self.basis_collision = False
-        for col_id, (_, _, vec) in enumerate(self._columns):
-            v = list(vec)
-            combo = {col_id: QQ(1)}
-            for coord in sorted(self.pivots):
-                c = v[coord]
-                if c:
-                    pv, pcombo = self.pivots[coord], self.pivot_combos[coord]
-                    for k in range(coord, self.dim):
-                        if pv[k]:
-                            v[k] = v[k] - c * pv[k]
-                    for cid, cc in pcombo.items():
-                        combo[cid] = combo.get(cid, QQ(0)) - c * cc
-            lead = None
-            for k in range(self.dim):
-                if v[k]:
-                    lead = k
-                    break
-            if lead is None:
-                continue
-            if lead >= self.n_nonbasis:
-                # the gradient ideal meets the basis span: coefficients over
-                # the basis are not unique. In lenient mode keep the pivot,
-                # which selects the canonical fully-reduced representative.
-                self.basis_collision = True
-                if self.strict:
+                    v[self.index[(i + a1, j + a2)]] = c
+                self._eliminate(v)
+                lead = next((k for k, c in enumerate(v) if c), None)
+                if lead is None:
                     continue
-            inv = 1 / v[lead]
-            v = [c * inv for c in v]
-            combo = {cid: cc * inv for cid, cc in combo.items()}
-            self.pivots[lead] = v
-            self.pivot_combos[lead] = combo
+                if lead >= self.n_nonbasis:
+                    raise DegeneracyError(
+                        "gradient-reduction-non-unique",
+                        "gradient ideal meets the quotient basis span",
+                    )
+                inv = 1 / v[lead]
+                self.pivots[lead] = [(k, c * inv) for k, c in enumerate(v) if c]
 
-    def reduce(self, p: BiPoly, recover_q: bool = False):
+    def _eliminate(self, v):
+        """Clear v at every pivot position, in place."""
+        for lead in sorted(self.pivots):
+            c = v[lead]
+            if c:
+                for k, pk in self.pivots[lead]:
+                    v[k] = v[k] - c * pk
+
+    def reduce(self, p: BiPoly):
         """Coefficients of p over the quotient basis (ascending basis order)."""
-        if self.strict and self.basis_collision:
-            raise DegeneracyError(
-                "gradient-reduction-non-unique",
-                "gradient ideal meets the quotient basis span",
-            )
         if p.total_degree > self.max_degree:
             raise ValueError("degree exceeds the reducer's working degree")
         v = [QQ(0)] * self.dim
         for (i, j), c in p.terms():
             v[self.index[(i, j)]] = c
-        used = {}
-        for coord in sorted(self.pivots):
-            c = v[coord]
-            if c:
-                pv = self.pivots[coord]
-                for k in range(coord, self.dim):
-                    if pv[k]:
-                        v[k] = v[k] - c * pv[k]
-                used[coord] = c
-        for k in range(self.n_nonbasis):
-            if v[k]:
-                raise DegeneracyError(
-                    "gradient-reduction-unsolvable",
-                    "polynomial does not reduce to the quotient basis",
-                )
-        row = [v[self.n_nonbasis + k] for k in range(self.size)]
-        if not recover_q:
-            return row
-        qs = [dict(), dict()]
-        for coord, c in used.items():
-            for cid, cc in self.pivot_combos[coord].items():
-                which, shift, _ = self._columns[cid]
-                key = shift
-                qs[which][key] = qs[which].get(key, QQ(0)) + c * cc
-        q1 = BiPoly.from_terms({k: v for k, v in qs[0].items() if v}, self.g.vars)
-        q2 = BiPoly.from_terms({k: v for k, v in qs[1].items() if v}, self.g.vars)
-        return row, q1, q2
+        self._eliminate(v)
+        if any(v[: self.n_nonbasis]):
+            raise DegeneracyError(
+                "gradient-reduction-unsolvable",
+                "polynomial does not reduce to the quotient basis",
+            )
+        return v[self.n_nonbasis :]
 
 
-def reduce_mod_gradient(g: BiPoly, monomial, recover_q: bool = False, strict: bool = True):
-    """Reduction row of x^monomial * g modulo the gradient ideal of g.
+def bezout_matrix_biv(g: BiPoly) -> BezoutData:
+    """The (N-1)^2 reduction-coefficient matrix for all basis monomials.
 
     The shifted-partial window starts at the natural degree bound and grows
     a little when a special input needs higher-degree multipliers.
     """
     for extra in (0, 2, 4):
-        reducer = GradientReducer(g, strict=strict, extra_degree=extra)
-        if monomial not in reducer.basis:
-            raise ValueError("monomial is not in the quotient basis")
-        term = BiPoly.from_terms({monomial: QQ(1)}, g.vars)
+        reducer = GradientReducer(g, extra_degree=extra)
         try:
-            return reducer.reduce(term * g, recover_q=recover_q)
-        except DegeneracyError as exc:
-            if exc.code != "gradient-reduction-unsolvable":
+            rows = [
+                reducer.reduce(BiPoly.from_terms({m: QQ(1)}, g.vars) * g)
+                for m in reducer.basis
+            ]
+        except DegeneracyError:  # gradient-reduction-unsolvable
+            if extra == 4:
                 raise
-            last = exc
-    raise last
-
-
-def bezout_matrix_biv(g: BiPoly, strict: bool = True) -> BezoutData:
-    """The (N-1)^2 reduction-coefficient matrix for all basis monomials."""
-    last = None
-    for extra in (0, 2, 4):
-        reducer = GradientReducer(g, strict=strict, extra_degree=extra)
-        rows = []
-        try:
-            for m in reducer.basis:
-                term = BiPoly.from_terms({m: QQ(1)}, g.vars)
-                rows.append(reducer.reduce(term * g))
-        except DegeneracyError as exc:
-            if exc.code != "gradient-reduction-unsolvable":
-                raise
-            last = exc
             continue
-        return BezoutData(
-            MatrixQ(rows), reducer.size, monomial_basis=tuple(reducer.basis), source=g
-        )
-    raise last
+        return BezoutData(MatrixQ(rows), reducer.size, source=g)
 
 
-def discriminant_biv(g: BiPoly, strict: bool = True):
+def discriminant_biv(g: BiPoly):
     """(discriminant value, matrix data); the value is det of the matrix.
 
     Equals the product of g over the stationary points of g (generic case:
     both partials of full degree, no stationary points at infinity).
     """
-    data = bezout_matrix_biv(g, strict=strict)
+    data = bezout_matrix_biv(g)
     return data.det, data
 
 

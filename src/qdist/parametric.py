@@ -196,12 +196,11 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
             "endpoint members carry the answer"
         )
 
-    # only the minimal positive zero of an endpoint matters
+    # only the minimal positive zero of an endpoint matters; without an
+    # interval the only endpoint polynomial is a constant family's member at 0
+    lo, hi = fam.interval or (QQ(0), QQ(0))
     endpoints = []
-    for poly, label, t_end in (
-        (fa, "endpoint-a", fam.interval[0] if fam.interval else None),
-        (fb, "endpoint-b", fam.interval[1] if fam.interval else None),
-    ):
+    for poly, label, t_end in ((fa, "endpoint-a", lo), (fb, "endpoint-b", hi)):
         if poly is None or not poly:
             continue
         roots = positive_roots(poly)

@@ -144,13 +144,40 @@ def test_low_bits_exit_0_without_nearest_points(tmp_path, bits):
             "ragged columns",
         ),
         (dict(ELLIPSE_POINT, point=["1/0", 0]), "zero denominator in '1/0'"),
+        (dict(ELLIPSE_POINT, options={"bits": 100.5}), "bits must be an integer"),
+        (dict(ELLIPSE_POINT, options={"bits": "64"}), "bits must be an integer"),
+        (dict(ELLIPSE_POINT, options={"bits": True}), "bits must be an integer"),
+        (dict(ELLIPSE_POINT, options={"exact": "no"}), "exact must be true or false"),
+        (dict(ELLIPSE_POINT, options={"exact": 1}), "exact must be true or false"),
     ],
-    ids=["options-list", "interval-one-endpoint", "ragged-columns", "zero-denominator"],
+    ids=[
+        "options-list", "interval-one-endpoint", "ragged-columns", "zero-denominator",
+        "bits-float", "bits-string", "bits-bool", "exact-string", "exact-int",
+    ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, problem, detail):
     code, _ = run(tmp_path, "distance", problem)
     assert code == 2
     assert detail in capsys.readouterr().err
+
+
+def test_constant_family_without_interval(tmp_path):
+    # no parameter dependence and no interval: the one member, at t = 0,
+    # carries the answer d = 5*sqrt(2) - 1
+    problem = {
+        "kind": "family-point",
+        "family": {"a": [[1, 0], [0, 1]], "b": [0, 0]},
+        "point": [5, 5],
+    }
+    code, text = run(tmp_path, "distance", problem)
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["t_star"]["value"] == "0"
+    assert rep["certificate"]["branch"] == "endpoint-a"
+    assert rep["d"]["decimal"].startswith("6.0710678118654752440")
+    (pair,) = rep["nearest_pairs"]
+    assert pair["y"] == ["5", "5"]
+    assert [x[:10] for x in pair["x_decimal"]] == ["0.70710678"] * 2
 
 
 def test_degeneracy_exit_3(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from helpers import rand_poly, rand_rat
 from qdist.discrim import (
-    BezoutData,
     bezout_matrix,
     bezout_matrix_biv,
     discriminant_biv,
@@ -15,10 +14,9 @@ from qdist.discrim import (
     multiple_zero_biv,
     multiple_zero_uni,
     quotient_basis_monomials,
-    reduce_mod_gradient,
 )
 from qdist.errors import DegeneracyError
-from qdist.linalg import MatrixQ, VectorQ, det_unipoly_matrix, solve_linear
+from qdist.linalg import MatrixQ, VectorQ, det_unipoly_matrix, rank, solve_linear
 from qdist.poly import BiPoly, ParamPoly, RatFunc, UniPoly, divrem, resultant
 from qdist.realroots import isolate_real_roots, refine
 from qdist.scalar import QQ
@@ -157,17 +155,53 @@ def test_quotient_basis():
     assert len(quotient_basis_monomials(5)) == 16
 
 
+def _check_rows_against_ideal(g, rows):
+    """x^m*g minus the basis expansion of row m must lie in the gradient ideal.
+
+    Membership is solvability of the exact linear system for the cofactors
+    q1, q2 in q1*dg/dx1 + q2*dg/dx2, with terms up to degree 3N: the target
+    must not raise the rank of the shifted partials. A perturbed row must
+    fail the same check.
+    """
+    n = g.total_degree
+    degree = 3 * n
+    mons = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+
+    def coefficients(p):
+        return [p.coeff(i, j) for i, j in mons]
+
+    shifted = [
+        coefficients(BiPoly.from_terms({a: QQ(1)}) * g.derivative(k))
+        for k in (0, 1)
+        for a in mons
+        if sum(a) <= degree - (n - 1)
+    ]
+    base = rank(MatrixQ(shifted))
+
+    def in_ideal(p):
+        return rank(MatrixQ(shifted + [coefficients(p)])) == base
+
+    basis = quotient_basis_monomials(n)
+    for mono, row in zip(basis, rows):
+        rest = BiPoly.from_terms({mono: QQ(1)}) * g - BiPoly.from_terms(
+            {m: c for m, c in zip(basis, row) if c}
+        )
+        assert in_ideal(rest)
+        assert not in_ideal(rest - 1)
+
+
 def test_reduce_circle():
     g = BiPoly.from_terms({(2, 0): 1, (0, 2): 1, (0, 0): -1})
-    row, q1, q2 = reduce_mod_gradient(g, (0, 0), recover_q=True)
-    assert row == [QQ(-1)]
-    assert q1 == BiPoly.from_terms({(1, 0): QQ(1, 2)})
-    assert q2 == BiPoly.from_terms({(0, 1): QQ(1, 2)})
+    rows = bezout_matrix_biv(g).matrix.entries
+    assert [list(r) for r in rows] == [[QQ(-1)]]
+    _check_rows_against_ideal(g, rows)
 
 
 def test_reduce_hyperbola():
     g = BiPoly.from_terms({(1, 1): 1, (0, 0): -1})
-    assert reduce_mod_gradient(g, (0, 0)) == [QQ(-1)]
+    rows = bezout_matrix_biv(g).matrix.entries
+    assert [list(r) for r in rows] == [[QQ(-1)]]
+    _check_rows_against_ideal(g, rows)
 
 
 def test_reduce_reexpansion_oracle_cubic():
@@ -179,17 +213,11 @@ def test_reduce_reexpansion_oracle_cubic():
         )
         if g.total_degree != 3:
             continue
-        g1, g2 = g.derivative(0), g.derivative(1)
         try:
-            for mono in quotient_basis_monomials(3):
-                term = BiPoly.from_terms({mono: QQ(1)})
-                row, q1, q2 = reduce_mod_gradient(g, mono, recover_q=True)
-                recon = BiPoly.from_terms(
-                    {m: c for m, c in zip(quotient_basis_monomials(3), row) if c}
-                )
-                assert recon + q1 * g1 + q2 * g2 == term * g
+            data = bezout_matrix_biv(g)
         except DegeneracyError:
             continue
+        _check_rows_against_ideal(g, data.matrix.entries)
         done += 1
 
 
@@ -198,8 +226,9 @@ def test_reduce_degenerate_basis_is_reported():
     # the fixed monomial set cannot be a quotient basis; the reduction must
     # surface that instead of silently choosing coefficients
     g = BiPoly.from_terms({(3, 0): 1, (0, 3): 1, (1, 1): -3, (0, 0): 1})
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(DegeneracyError) as exc:
         bezout_matrix_biv(g)
+    assert exc.value.code == "gradient-reduction-non-unique"
 
 
 def test_discriminant_biv_trivial():
@@ -375,5 +404,5 @@ def test_discriminant_param_interpolation():
 
 def test_last_row_cofactors_field():
     data = bezout_matrix((X - 2) ** 2 * (X + 1))
-    assert data.last_row_cofactors == (QQ(2), QQ(4))
+    assert [data.last_row_cofactor(j) for j in range(data.size)] == [QQ(2), QQ(4)]
     assert multiple_zero_uni(data) == QQ(4) / QQ(2)
