@@ -376,7 +376,7 @@ def _critical_sign_range(pencil: ParamPoly):
     Returns (has_negative_or_zero, has_positive_or_zero, has_zero).
     """
     from .poly import poly_gcd
-    from .realroots import sturm_chain, _count_between
+    from .realroots import count_roots
 
     bits = 96
     c0 = pencil.eval_param(0)
@@ -400,7 +400,6 @@ def _critical_sign_range(pencil: ParamPoly):
             "degenerate-critical-system", "no real critical multiplier"
         )
     shared = poly_gcd(h, v_num)
-    chain = sturm_chain(v_num)
     has_neg = has_pos = has_zero = False
     for iv in intervals:
         if iv.exact:
@@ -417,7 +416,7 @@ def _critical_sign_range(pencil: ParamPoly):
             continue
         r = refine_interval(iv, h, bits)
         width = bits
-        while not r.exact and _count_between(chain, r.lo, r.hi):
+        while not r.exact and v_num and count_roots(v_num, r.lo, r.hi):
             width += 64
             r = refine_interval(r, h, width)
         value = v_num.eval(r.lo if r.exact else r.midpoint)

@@ -25,7 +25,13 @@ from .metrics import (
     solve_point,
 )
 from .poly import BiPoly, UniPoly, interpolate_verified
-from .realroots import positive_roots, refine
+from .realroots import (
+    count_roots,
+    isolate_real_roots,
+    positive_roots,
+    refine,
+    refine_interval,
+)
 from .scalar import QQ, rational, snap, tolerance
 
 TVAR = "t"
@@ -178,10 +184,63 @@ class _Candidate:
     t: object = None
 
 
+def _point_residual(fam: QuadricFamily, x0: VectorQ) -> UniPoly:
+    """r(t) = x0^T A(t) x0 + 2 B(t)^T x0 + c(t): zero where a member holds x0."""
+    n = fam.dim
+    r = fam.c
+    for i in range(n):
+        r = r + fam.b[i] * (2 * x0[i])
+        for j in range(n):
+            r = r + fam.a[i][j] * (x0[i] * x0[j])
+    return r
+
+
+def _first_crossing(r: UniPoly, interval, bits: int):
+    """Smallest zero of r in the closed interval (the real line if None).
+
+    Exact when the zero is recognized as rational, else refined to 2^-bits;
+    None when r has no zero there. r must not vanish identically.
+    """
+    if interval is None:
+        roots = isolate_real_roots(r)
+        return refine(roots[0], r, bits) if roots else None
+    lo, hi = interval
+    # the common case, no crossing, needs no isolation of r
+    if r.eval(lo) and r.eval(hi) and not count_roots(r, lo, hi):
+        return None
+    for iv in isolate_real_roots(r):
+        # shrink the bracket until it lies on one side of each end point
+        width = bits
+        while not iv.exact and (iv.lo < lo < iv.hi or iv.lo < hi < iv.hi):
+            iv = refine_interval(iv, r, width)
+            width += 64
+        if lo <= iv.lo and iv.hi <= hi:
+            return refine(iv, r, bits)
+    return None
+
+
 def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceReport:
-    """Distance from the point to the nearest family member over the interval."""
+    """Distance from the point to the nearest family member over the interval.
+
+    When a member in the interval passes through the point the distance is
+    0, and t_star is the smallest such parameter.
+    """
     if x0.dim != fam.dim:
         raise ValueError("point dimension mismatch")
+    r = _point_residual(fam, x0)
+    if r:
+        t_cross = _first_crossing(r, fam.interval, bits)
+    else:
+        t_cross = fam.interval[0] if fam.interval else QQ(0)
+    if t_cross is not None:
+        return DistanceReport(
+            kind="family-point",
+            intersecting=True,
+            certificate={"point_residual": r},
+            d=QQ(0),
+            d_error=QQ(0),
+            t_star=t_cross,
+        )
     surface = family_distance_surface(fam, x0)
     big_f, fa, fb = family_distance_poly(fam, x0, surface)
     report = DistanceReport(

@@ -1,17 +1,22 @@
-"""Exact real-root isolation and refinement via Sturm sequences.
+"""Exact real-root isolation and refinement.
 
 All computations stay over the rationals. Roots are reported as disjoint
 isolating intervals (zero-width for roots that are recognized as rational),
 with exact multiplicities taken from the square-free decomposition.
+Isolation bisects intervals in the manner of Vincent, Collins and Akritas:
+each interval carries the square-free part mapped onto (0, 1) as an integer
+polynomial, and Descartes' rule of signs counts its roots there. Refinement
+bisects the rational bracket by sign tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import NoPositiveRootError
-from .poly import UniPoly, divrem, squarefree_decomposition
-from .scalar import QQ, simplest_in_interval
+from .poly import UniPoly, squarefree_decomposition, squarefree_part
+from .scalar import QQ, den, num, simplest_in_interval
 
 ALL_POSITIVE = "all-positive"
 ALL_NEGATIVE = "all-negative"
@@ -43,46 +48,95 @@ class IsolatingInterval:
         return self.hi - self.lo
 
 
-def sturm_chain(p: UniPoly):
-    """Sturm sequence of p (usually the square-free part)."""
-    chain = [p, p.derivative()]
-    while chain[-1]:
-        _, r = divrem(chain[-2], chain[-1])
-        if not r:
-            break
-        # scale to a primitive polynomial; positive factors keep signs valid
-        _, r = (-r).primitive()
-        chain.append(r)
-    return chain
+def _integer_coeffs(p: UniPoly):
+    """Ascending coefficients of p's primitive integer multiple, sign kept."""
+    return [num(c) for c in p.primitive()[1].coeffs]
 
 
-def _sign(v):
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+def _unit_transform(cs, lo, hi):
+    """Primitive integer polynomial q with q(y) ~ p(lo + (hi - lo) y).
+
+    ``cs`` are p's integer coefficients, ascending. The roots of q in (0, 1)
+    are the images of p's roots in (lo, hi). With lo = a/d and hi - lo = c/d,
+    Horner's rule builds d^n p((a + c y)/d) in integers.
+    """
+    d = lcm(den(lo), den(hi))
+    a, c = num(lo * d), num((hi - lo) * d)
+    acc = [cs[-1]]
+    scale = 1
+    for k in range(len(cs) - 2, -1, -1):
+        scale *= d
+        nxt = [a * x for x in acc] + [0]
+        for i, x in enumerate(acc):
+            nxt[i + 1] += c * x
+        nxt[0] += cs[k] * scale
+        acc = nxt
+    g = gcd(*acc)
+    return [x // g for x in acc]
 
 
-def _variations(signs):
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
+def _halve(q):
+    """2^n q(y/2): the left half of (0, 1) stretched onto (0, 1).
+
+    The common power of two of the coefficients is divided out.
+    """
+    n = len(q) - 1
+    out = [c << (n - k) for k, c in enumerate(q)]
+    twos = min((c & -c).bit_length() for c in out if c) - 1
+    return [c >> twos for c in out] if twos else out
+
+
+def _shift_by_one(q):
+    """q(y + 1), by the Taylor shift of repeated synthetic division."""
+    q = list(q)
+    n = len(q) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            q[k] += q[k + 1]
+    return q
+
+
+def _descartes(q):
+    """Sign variations of (y + 1)^n q(1/(y + 1)).
+
+    Descartes' rule of signs bounds the number of q's roots in (0, 1),
+    counted with multiplicity, by this number and matches its parity; a
+    count of 0 or 1 is therefore exact.
+    """
+    count = prev = 0
+    for c in _shift_by_one(q[::-1]):
+        if c:
+            if prev and (c > 0) != (prev > 0):
+                count += 1
+            prev = c
     return count
 
 
-def _var_at(chain, x):
-    return _variations([_sign(p.eval(x)) for p in chain])
+def _split(q):
+    """(left half, right half) of q on (0, 1); right[0] == 0 iff q(1/2) == 0."""
+    left = _halve(q)
+    return left, _shift_by_one(left)
 
 
-def _count_between(chain, a, b):
-    """Number of distinct roots in (a, b]; a and b must not be roots."""
-    return _var_at(chain, a) - _var_at(chain, b)
+def _count_roots(q):
+    """Exact number of roots in (0, 1) of a square-free integer polynomial.
+
+    A root at 0 or 1 changes no Descartes count, so it is never counted.
+    """
+    count = _descartes(q)
+    if count < 2:
+        return count
+    left, right = _split(q)
+    if right[0]:
+        return _count_roots(left) + _count_roots(right)
+    return _count_roots(left) + 1 + _count_roots(right[1:])
+
+
+def count_roots(p: UniPoly, lo, hi) -> int:
+    """Number of distinct real roots of p in the open interval (lo, hi)."""
+    if not p:
+        raise ValueError("zero polynomial")
+    return _count_roots(_unit_transform(_integer_coeffs(squarefree_part(p)), lo, hi))
 
 
 def root_bound(p: UniPoly):
@@ -92,35 +146,40 @@ def root_bound(p: UniPoly):
     return QQ(2) + m / lead
 
 
-def _isolate_squarefree(s: UniPoly, lo, hi, chain):
+def _isolate_squarefree(s: UniPoly, lo, hi):
     """Disjoint open isolating intervals for roots of square-free s in (lo, hi).
 
-    Requires s(lo) != 0 and s(hi) != 0.
+    Requires s(lo) != 0 and s(hi) != 0. Each interval carries s mapped onto
+    (0, 1) as an integer polynomial, whose Descartes count decides whether
+    the interval is dropped, kept or halved.
     """
+    cs = _integer_coeffs(s)
     out = []
-    stack = [(lo, hi, _count_between(chain, lo, hi))]
+    stack = [(lo, hi, _unit_transform(cs, lo, hi))]
     while stack:
-        a, b, n = stack.pop()
+        a, b, q = stack.pop()
+        n = _descartes(q)
         if n == 0:
             continue
         if n == 1:
             out.append((a, b))
             continue
         m = (a + b) / 2
-        if not s.eval(m):
+        left, right = _split(q)
+        if not right[0]:
             # exact root at the midpoint; carve out a root-free neighborhood
             delta = (b - a) / 4
             while True:
                 if s.eval(m - delta) and s.eval(m + delta):
-                    if _count_between(chain, m - delta, m + delta) == 1:
+                    if _count_roots(_unit_transform(cs, m - delta, m + delta)) == 1:
                         break
                 delta = delta / 2
             out.append((m, m))
-            stack.append((a, m - delta, _count_between(chain, a, m - delta)))
-            stack.append((m + delta, b, _count_between(chain, m + delta, b)))
+            stack.append((a, m - delta, _unit_transform(cs, a, m - delta)))
+            stack.append((m + delta, b, _unit_transform(cs, m + delta, b)))
         else:
-            stack.append((a, m, _count_between(chain, a, m)))
-            stack.append((m, b, _count_between(chain, m, b)))
+            stack.append((a, m, left))
+            stack.append((m, b, right))
     return out
 
 
@@ -140,7 +199,6 @@ def isolate_real_roots(p: UniPoly):
         s_rest = s / UniPoly((0, 1), p.var)
     else:
         s_rest = s
-    chain = sturm_chain(s_rest)
     b = root_bound(s_rest) if s_rest.degree >= 1 else QQ(1)
     raw = []
     if s_rest.degree >= 1:
@@ -151,7 +209,7 @@ def isolate_real_roots(p: UniPoly):
             raise AssertionError("zero root not factored out")
         # split at zero so every interval lies on one side of it
         for lo, hi in ((-b, -eps), (-eps, QQ(0)), (QQ(0), eps), (eps, b)):
-            raw.extend(_isolate_squarefree(s_rest, lo, hi, chain))
+            raw.extend(_isolate_squarefree(s_rest, lo, hi))
     if zero_root:
         raw.append((QQ(0), QQ(0)))
     # collapse intervals whose root is a recognizable rational
@@ -196,8 +254,6 @@ def isolate_real_roots(p: UniPoly):
 
 def _bisection_function(p: UniPoly) -> UniPoly:
     """Square-free part with roots at zero stripped (those are always exact)."""
-    from .poly import squarefree_part
-
     s = squarefree_part(p)
     cs = list(s.coeffs)
     while cs and not cs[0]:

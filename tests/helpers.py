@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from qdist.linalg import MatrixQ, VectorQ, definiteness, determinant
 from qdist.metrics import Quadric, normalize
-from qdist.poly import UniPoly
+from qdist.poly import UniPoly, divrem
 from qdist.scalar import QQ, rational
 
 
@@ -119,3 +119,22 @@ def assert_printed(value, printed: str, label=""):
     assert abs(value - expected) <= tol, (
         f"{label}: {float(value)} differs from printed {printed}"
     )
+
+
+def sturm_chain(p: UniPoly):
+    """Sturm sequence of p (usually the square-free part): a root-count oracle."""
+    chain = [p, p.derivative()]
+    while chain[-1]:
+        _, r = divrem(chain[-2], chain[-1])
+        if not r:
+            break
+        # scale to a primitive polynomial; positive factors keep signs valid
+        _, r = (-r).primitive()
+        chain.append(r)
+    return chain
+
+
+def _var_at(chain, x):
+    """Sign variations of the Sturm chain at x, zeros skipped."""
+    signs = [v > 0 for v in (p.eval(x) for p in chain) if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)

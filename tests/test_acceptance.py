@@ -10,11 +10,13 @@ import time
 
 from brute import brute_pair_distance, brute_point_distance, brute_variety_distance
 from helpers import (
+    _var_at,
     assert_printed,
     ellipsoid_at,
     rand_pd_matrix,
     rand_poly,
     rand_rat,
+    sturm_chain,
     sylvester_resultant,
 )
 from qdist.discrim import (
@@ -43,7 +45,7 @@ from qdist.metrics import (
 )
 from qdist.parametric import QuadricFamily, family_distance_poly, family_solve
 from qdist.poly import RatFunc, UniPoly, divrem, resultant, squarefree_part
-from qdist.realroots import isolate_real_roots, root_bound, sturm_chain, _var_at
+from qdist.realroots import isolate_real_roots, root_bound
 from qdist.scalar import QQ
 
 Z = UniPoly.x("z")

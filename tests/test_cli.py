@@ -180,6 +180,67 @@ def test_constant_family_without_interval(tmp_path):
     assert [x[:10] for x in pair["x_decimal"]] == ["0.70710678"] * 2
 
 
+def _circle_family(interval=None, c=None):
+    # x^2 + y^2 + 2 t x + c(t) = 0, with c = -1 by default
+    family = {"a": [[1, 0], [0, 1]], "b": [[0, 1], 0]}
+    if c is not None:
+        family["c"] = c
+    if interval is not None:
+        family["interval"] = interval
+    return {"kind": "family-point", "family": family, "point": [5, 5]}
+
+
+@pytest.mark.parametrize(
+    "interval", [[-5, -4], ["-49/10", -4], None], ids=["inside", "at-end", "unbounded"]
+)
+def test_family_member_through_point(tmp_path, interval):
+    # r(t) = 49 + 10 t: the member at t = -49/10 passes through (5, 5)
+    code, text = run(tmp_path, "distance", _circle_family(interval))
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["intersecting"] is True
+    assert rep["d"]["value"] == "0"
+    assert rep["t_star"]["value"] == "-49/10"
+    assert rep["certificate"]["point_residual"]["coefficients"] == ["49", "10"]
+
+
+def test_family_crossing_outside_interval(tmp_path):
+    code, text = run(tmp_path, "distance", _circle_family([-4, -3]))
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["intersecting"] is False
+    assert rep["t_star"]["value"] == "-4"
+    assert rep["d"]["decimal"].startswith("0.97591388797")
+
+
+@pytest.mark.parametrize("interval, t_star", [([2, 3], "2"), (None, "0")])
+def test_family_every_member_through_point(tmp_path, interval, t_star):
+    # with c = -10 t - 50 every member holds (5, 5): r vanishes identically
+    code, text = run(tmp_path, "distance", _circle_family(interval, c=[-50, -10]))
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["intersecting"] is True
+    assert rep["d"]["value"] == "0"
+    assert rep["t_star"]["value"] == t_star
+
+
+def test_family_irrational_crossing(tmp_path):
+    # circles x^2 + y^2 = t^2 on [1, 2]: the one through (1, 1) has t = sqrt(2)
+    problem = {
+        "kind": "family-point",
+        "family": {"a": [[1, 0], [0, 1]], "b": [0, 0], "c": [0, 0, -1], "interval": [1, 2]},
+        "point": [1, 1],
+        "options": {"bits": 64},
+    }
+    code, text = run(tmp_path, "distance", problem)
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["intersecting"] is True
+    assert rep["d"]["value"] == "0"
+    t = rational(rep["t_star"]["value"])
+    assert 1 < t < 2 and abs(t * t - 2) <= QQ(3, 1 << 64)
+
+
 def test_degeneracy_exit_3(tmp_path):
     # empty real surface: -x^2 - y^2 = 1
     problem = {

@@ -1,6 +1,8 @@
+import hashlib
 import random
 
-from helpers import assert_printed, rand_poly
+from helpers import _var_at, assert_printed, rand_poly, sturm_chain
+from qdist import realroots
 from qdist.errors import NoPositiveRootError
 from qdist.poly import UniPoly, squarefree_part
 from qdist.realroots import (
@@ -14,10 +16,8 @@ from qdist.realroots import (
     real_root_signs,
     refine,
     root_bound,
-    sturm_chain,
-    _var_at,
 )
-from qdist.scalar import QQ, decimal_str
+from qdist.scalar import QQ, decimal_str, format_rational
 
 import pytest
 
@@ -141,6 +141,92 @@ def test_multiplicities_account_for_degree():
             got[iv.lo] = got.get(iv.lo, 0) + iv.multiplicity
         assert sum(got.values()) == total
         assert p.degree == total + 2 * pairs
+
+
+def _seeded_product(rng):
+    """(p, {rational root: multiplicity}, degree of the factors with no real root).
+
+    p is a product of powers of (z - r) with dyadic, small-denominator and
+    zero roots r, of (z - a)^2 - 2 c^2 with irrational roots a +- c sqrt(2),
+    and of irreducible quadratics (z - a)^2 + c.
+    """
+    p = UniPoly.const(QQ(rng.randint(1, 5), rng.randint(1, 3)), "z")
+    rational, no_real = {}, 0
+    for _ in range(rng.randint(1, 4)):
+        pick = rng.random()
+        k = rng.randint(1, 3)
+        if pick < 0.7:
+            if pick < 0.3:
+                r = QQ(rng.randint(-40, 40), 1 << rng.randint(0, 5))
+            elif pick < 0.6:
+                r = QQ(rng.randint(-20, 20), rng.randint(1, 7))
+            else:
+                r = QQ(0)
+            p = p * (Z - r) ** k
+            rational[r] = rational.get(r, 0) + k
+            continue
+        a = QQ(rng.randint(-9, 9), rng.randint(1, 4))
+        c = QQ(rng.randint(1, 9), rng.randint(1, 4))
+        if pick < 0.85:
+            p = p * ((Z - a) ** 2 - 2 * c * c) ** k
+        else:
+            p = p * ((Z - a) ** 2 + c) ** k
+            no_real += 2 * k
+    return p, rational, no_real
+
+
+def test_isolation_invariants_on_seeded_products():
+    rng = random.Random(2024)
+    for _ in range(80):
+        p, rational, no_real = _seeded_product(rng)
+        roots = isolate_real_roots(p)
+        s = squarefree_part(p)
+        chain = sturm_chain(s)
+        b = root_bound(s)
+        assert len(roots) == _var_at(chain, -b) - _var_at(chain, b)
+        assert sum(iv.multiplicity for iv in roots) == p.degree - no_real
+        # a zero-width interval is a rational root; every rational root is
+        # found exactly, at isolation or by refine, with its multiplicity
+        assert all(iv.lo in rational for iv in roots if iv.exact)
+        found = {refine(iv, p, 128): iv.multiplicity for iv in roots}
+        assert {r: k for r, k in found.items() if r in rational} == rational
+        for iv in roots:
+            assert not iv.lo < 0 < iv.hi
+        for u, v in zip(roots, roots[1:]):
+            assert u.hi <= v.lo and (u.lo, u.hi) != (v.lo, v.hi)
+
+
+def test_carve_around_root_at_midpoint(monkeypatch):
+    # root bound 15 and eps 1, so the first midpoint of (1, 15) is the root 8;
+    # 3/2 shares that node, which therefore splits by carving out (9/2, 23/2)
+    p = (Z - 8) * (Z - QQ(3, 2)) * (Z**2 + 1)
+    assert root_bound(p) == 15
+    carved = []
+    count_roots = realroots._count_roots
+    monkeypatch.setattr(
+        realroots, "_count_roots", lambda q: carved.append(q) or count_roots(q)
+    )
+    roots = isolate_real_roots(p)
+    assert carved
+    assert [(iv.lo, iv.hi) for iv in roots] == [(QQ(1), QQ(9, 2)), (QQ(8), QQ(8))]
+    assert refine(roots[0], p, 64) == QQ(3, 2)
+
+
+# sha256 of every root of 200 seeded products refined at 16, 64 and 128 bits,
+# generated with Sturm-sequence isolation: the bisection tree is the same, so
+# refinement from either isolation reaches the same brackets
+REFINED_ROOTS_SHA256 = "4e1f9c71114cbe5c8d324b6ae34271eeae57824df084f83b9157ea43bb11bbbd"
+
+
+def test_refined_roots_pin():
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for i in range(200):
+        p = _seeded_product(rng)[0]
+        for iv in isolate_real_roots(p):
+            for bits in (16, 64, 128):
+                digest.update(f"{i}:{bits}:{format_rational(refine(iv, p, bits))};".encode())
+    assert digest.hexdigest() == REFINED_ROOTS_SHA256
 
 
 def test_real_root_signs():
