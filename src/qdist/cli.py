@@ -447,9 +447,13 @@ def main(argv=None) -> int:
         json.dump({"status": "error", "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except QdistError as exc:
-        reason = exc.code if isinstance(exc, DegeneracyError) else "error"
-        payload = {"status": "degenerate", "reason": reason, "detail": str(exc)}
+    except Exception as exc:  # a QdistError, or a fault no solver classified
+        if isinstance(exc, QdistError):
+            reason = exc.code if isinstance(exc, DegeneracyError) else "error"
+            detail = str(exc)
+        else:
+            reason, detail = "internal-error", f"{type(exc).__name__}: {exc}"
+        payload = {"status": "degenerate", "reason": reason, "detail": detail}
         stream = open(args.out, "w") if args.out else sys.stdout
         json.dump(payload, stream, indent=2)
         stream.write("\n")

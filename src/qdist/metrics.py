@@ -542,10 +542,11 @@ def _general_raw(q1: Quadric, q2: Quadric) -> UniPoly:
     expected = n + 2
     bound = 2 * n * (n + 1) + 2 * n * n
 
-    def build(z):
-        return general_bipoly_at(q1, q2, z)
-
-    return discriminant_biv_param(build, expected, bound, var=ZVAR)
+    # z enters general_bipoly_at only as mu1*mu2*z in the corner entry, so
+    # the determinant is affine in z: build it twice, not once per node
+    g0 = general_bipoly_at(q1, q2, 0)
+    g1 = general_bipoly_at(q1, q2, 1) - g0
+    return discriminant_biv_param(lambda z: g0 + z * g1, expected, bound, var=ZVAR)
 
 
 def general_distance_poly_full(q1: Quadric, q2: Quadric):

@@ -12,8 +12,6 @@ BiPoly is a dense bivariate polynomial on a coefficient grid.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .errors import DegeneracyError
 from .scalar import QQ, is_rational
 
@@ -602,14 +600,6 @@ class ParamPoly:
         """Substitute the parameter; result is univariate in the main variable."""
         return UniPoly([c.eval(value) for c in self.coeffs], self.main_var)
 
-    def eval_main(self, value) -> UniPoly:
-        """Substitute the main variable; result is univariate in the parameter."""
-        value = _coerce(value)
-        acc = UniPoly.zero(self.param_var)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
     def eval_point(self, main_value, param_value):
         return self.eval_param(param_value).eval(main_value)
 
@@ -631,15 +621,6 @@ class ParamPoly:
         if which == self.param_var:
             return self.derivative_param()
         raise ValueError(f"unknown variable {which!r}")
-
-    def swap_variables(self) -> "ParamPoly":
-        """Exchange the roles of main and parameter variable."""
-        rows = [list(c.coeffs) for c in self.coeffs]
-        depth = max((len(r) for r in rows), default=0)
-        new = []
-        for j in range(depth):
-            new.append(UniPoly([r[j] if j < len(r) else 0 for r in rows], self.main_var))
-        return ParamPoly(new, self.param_var, self.main_var)
 
     def __repr__(self):
         terms = []
@@ -859,11 +840,13 @@ class NewtonInterp:
             return False
         return all(not d for d in self.diffs[-count:])
 
-    def polynomial(self) -> UniPoly:
-        if not self.xs:
+    def polynomial(self, drop: int = 0) -> UniPoly:
+        """The interpolant of all points but the last ``drop``."""
+        size = len(self.xs) - drop
+        if size <= 0:
             return UniPoly.zero(self.var)
-        acc = UniPoly.const(self.diffs[-1], self.var)
-        for i in range(len(self.xs) - 2, -1, -1):
+        acc = UniPoly.const(self.diffs[size - 1], self.var)
+        for i in range(size - 2, -1, -1):
             acc = acc * UniPoly((-self.xs[i], 1), self.var) + self.diffs[i]
         return acc
 
@@ -933,28 +916,35 @@ def interpolate_verified(compute, bound: int, var="x", max_pole_order: int = 0):
     node. Its values are rationals, or tuples of rationals that are
     interpolated componentwise (a list of polynomials is returned; short
     tuples are padded with zeros).
-    Finds the smallest k <= max_pole_order such that t^k * value(t),
-    interpolated at bound + k + 1 valid nodes, matches at the next 3; with
-    max_pole_order = 0 the value is an ordinary polynomial, otherwise the
-    node 0, the possible pole, is never used. If no k verifies, the bound
-    doubles once before the function counts as degenerate.
+    One pass over the valid nodes feeds t^k * value(t), for each pole order
+    k <= max_pole_order, to one Newton table per k and component, and stops
+    at the first node where every component of some k (the smallest on a
+    tie) has 3 vanishing last divided differences: its interpolant of the
+    earlier nodes matches exactly at those 3. With max_pole_order > 0 the
+    node 0, the possible pole, is never used. The bound is a guess: table k
+    is dropped after 2 * bound + k + 4 points (the bound doubled once, plus
+    3 verification nodes); with every table dropped, the function counts
+    as degenerate.
     """
-    values = NodeValues(compute, skip_zero=max_pole_order > 0)
-    for size in (bound, 2 * bound):
-        for k in range(max_pole_order + 1):
-            points = values.points()
-            fit = list(islice(points, size + k + 1))
-            width = max(len(_row(y)) for _, y in fit)
-            polys = [
-                interpolate([(t, _entry(y, j) * t**k) for t, y in fit], var)
-                for j in range(width)
-            ]
-            if all(
-                len(_row(y)) <= width
-                and all(p.eval(t) == _entry(y, j) * t**k for j, p in enumerate(polys))
-                for t, y in islice(points, 3)
-            ):
-                return polys if isinstance(fit[0][1], tuple) else polys[0]
+    tables = {k: [] for k in range(max_pole_order + 1)}
+    nodes = []
+    for t, y in NodeValues(compute, skip_zero=max_pole_order > 0).points():
+        row = _row(y)
+        for k, table in tables.items():
+            while len(table) < len(row):  # a new component: zero so far
+                table.append(NewtonInterp(var))
+                for x in nodes:
+                    table[-1].add_point(x, 0)
+            for j, it in enumerate(table):
+                it.add_point(t, _entry(y, j) * t**k)
+        nodes.append(t)
+        for table in tables.values():  # ascending k
+            if len(nodes) >= 3 and all(it.tail_is_zero(3) for it in table):
+                polys = [it.polynomial(drop=3) for it in table]
+                return polys if isinstance(y, tuple) else polys[0]
+        tables = {k: table for k, table in tables.items() if len(nodes) < 2 * bound + k + 4}
+        if not tables:
+            break
     raise DegeneracyError(
         "interpolation-verification", "interpolated polynomial failed verification"
     )

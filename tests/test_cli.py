@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qdist import cli
 from qdist.cli import main
 from qdist.poly import UniPoly
 from qdist.realroots import min_positive_zero
@@ -256,6 +257,21 @@ def test_degeneracy_exit_3(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["status"] == "degenerate"
     assert rep["reason"] == "empty-surface"
+
+
+@pytest.mark.parametrize("fault", [ZeroDivisionError("division by zero"), AssertionError()])
+def test_unclassified_solver_fault_exit_3(tmp_path, monkeypatch, fault):
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setattr(cli, "solve_point", broken)
+    code, text = run(tmp_path, "distance", ELLIPSE_POINT)
+    assert code == 3
+    assert json.loads(text) == {
+        "status": "degenerate",
+        "reason": "internal-error",
+        "detail": f"{type(fault).__name__}: {fault}",
+    }
 
 
 def test_exact_flag_adds_intervals(tmp_path):

@@ -9,6 +9,7 @@ from helpers import (
     rand_pd_matrix,
     rand_rat,
 )
+from qdist import discrim
 from qdist.discrim import discriminant_param
 from qdist.errors import DegeneracyError
 from qdist.linalg import (
@@ -24,8 +25,10 @@ from qdist.metrics import (
     Quadric,
     QuadricPairProblem,
     VarietyQuadricProblem,
+    _general_raw,
     centered_distance_poly,
     centered_intersects,
+    general_bipoly_at,
     general_distance_poly,
     general_distance_poly_full,
     general_intersects,
@@ -471,6 +474,45 @@ def test_general_distance_poly_deflated_branch():
         1046872756224, 40389215744, -30833811312, -11824906824, -236680415,
         63565104, 13368672, -1154304, 20736,
     ))
+
+
+def _separated_ellipses():
+    e1 = ellipsoid_at(MatrixQ([[3, 1], [1, 2]]), VectorQ([0, 0]))
+    e2 = ellipsoid_at(MatrixQ([[5, -1], [-1, 4]]), VectorQ([10, 8]))
+    return e1, e2
+
+
+def _criterion_5_ellipsoids():
+    q1 = normalize(
+        MatrixQ([[7, -2, 0], [-2, 6, -2], [0, -2, 5]]),
+        VectorQ([QQ(-37, 2), -6, QQ(3, 2)]),
+        54,
+    )
+    q2 = normalize(
+        MatrixQ([[189, 0, 1], [0, 1, QQ(-1, 2)], [1, QQ(-1, 2), 189]]),
+        VectorQ.zero(3),
+        -27,
+    )
+    return q1, q2
+
+
+@pytest.mark.parametrize("pair", [_separated_ellipses, _criterion_5_ellipsoids])
+def test_general_bipoly_is_affine_in_z(pair):
+    q1, q2 = pair()
+    g0 = general_bipoly_at(q1, q2, 0)
+    g1 = general_bipoly_at(q1, q2, 1) - g0
+    for z in (0, 1, QQ(-3, 7), QQ(49, 4), 10**6):
+        assert g0 + z * g1 == general_bipoly_at(q1, q2, z)
+
+
+def test_general_raw_stops_three_nodes_past_the_degree(monkeypatch):
+    calls = []
+    bezout = discrim.bezout_matrix_biv
+    monkeypatch.setattr(discrim, "bezout_matrix_biv", lambda g: calls.append(g) or bezout(g))
+    raw = _general_raw(*_separated_ellipses())
+    # the interpolated z^k * det has degree 14; its degree bound allows 39 nodes
+    assert raw.degree == 14
+    assert len(calls) == raw.degree + 4
 
 
 def test_part_iv_multiplier_matrix_nonsingular_on_simple_zero():

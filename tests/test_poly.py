@@ -183,13 +183,10 @@ def test_parampoly_evaluation_and_derivatives():
     p = ParamPoly([UniPoly([3], "z"), UniPoly([0, 1], "z"), UniPoly([1, 0, 1], "z")],
                   "mu", "z")
     assert p.eval_param(2) == UniPoly([3, 2, 5], "mu")
-    assert p.eval_main(1) == UniPoly([4, 1, 1], "z")
     dm = p.derivative("mu")
     assert dm.eval_param(2) == UniPoly([2, 10], "mu")
     dz = p.derivative("z")
     assert dz.eval_param(2) == UniPoly([0, 1, 4], "mu")
-    swapped = p.swap_variables()
-    assert swapped.eval_point(QQ(1, 2), QQ(3)) == p.eval_point(QQ(3), QQ(1, 2))
 
 
 def test_bipoly_arithmetic_and_eval():
@@ -228,6 +225,33 @@ def test_interpolate_verified_finds_minimal_pole_order():
     for k in range(4):
         f = interpolate_verified(lambda t: p.eval(t) / t**k, 3, "t", max_pole_order=6)
         assert f == p
+
+
+def test_interpolate_verified_stops_after_three_verification_nodes():
+    rng = random.Random(5)
+    for _ in range(60):
+        bound, max_k = rng.randint(0, 8), rng.randint(0, 6)
+        p = rand_poly(rng, rng.randint(0, 2 * bound), "t")
+        if not p.eval(0):
+            p = p + 1  # the pole order of p / t^k is then exactly k
+        k = rng.randint(0, max_k)
+        seen = []
+
+        def compute(t):
+            seen.append(t)
+            return p.eval(t) / t**k
+
+        assert interpolate_verified(compute, bound, "t", max_k) == p
+        assert len(seen) == p.degree + 4
+        # past the doubled bound of every pole order the call gives up after
+        # the fit and verification nodes of the last order, and no later
+        seen.clear()
+        high = p * UniPoly.x("t") ** (2 * bound + max_k + 1) + 1
+        with pytest.raises(DegeneracyError):
+            interpolate_verified(
+                lambda t: seen.append(t) or high.eval(t) / t**k, bound, "t", max_k
+            )
+        assert len(seen) == 2 * bound + max_k + 4
 
 
 def test_interpolate_verified_skip_budget():
