@@ -34,13 +34,15 @@ from .parametric import QuadricFamily, family_distance_poly, family_solve
 from .poly import UniPoly
 from .scalar import QQ, decimal_str, format_rational, rational
 
-KINDS = (
-    "point-quadric",
-    "variety-quadric",
-    "quadric-quadric",
-    "centered-quadric-quadric",
-    "family-point",
-)
+# the top-level fields each kind reads, besides "kind" and "options"
+FIELDS = {
+    "point-quadric": ("quadric", "point"),
+    "variety-quadric": ("quadric", "variety"),
+    "quadric-quadric": ("quadric", "quadric2"),
+    "centered-quadric-quadric": ("quadric", "quadric2"),
+    "family-point": ("family", "point"),
+}
+KINDS = tuple(FIELDS)
 
 
 def _valid_bits(value) -> int:
@@ -60,9 +62,11 @@ class ProblemFile:
         self.kind = data.get("kind")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
+        _check_keys(data, ("kind", "options") + FIELDS[self.kind], "the problem")
         options = data.get("options", {})
         if not isinstance(options, dict):
             raise ValueError("options must be a JSON object")
+        _check_keys(options, ("bits", "exact"), "options")
         self.bits = _valid_bits(options.get("bits", 128))
         self.exact = options.get("exact", False)
         if not isinstance(self.exact, bool):
@@ -85,6 +89,14 @@ class ProblemFile:
             self.family = _parse_family(_require(data, "family"))
             self.point = _parse_vector(_require(data, "point"))
         _check_dimensions(self)
+
+
+def _check_keys(data, known, where):
+    """Reject a key no parser reads: a typo must not silently change the problem."""
+    if isinstance(data, dict):
+        for key in data:
+            if key not in known:
+                raise ValueError(f"unknown key {key!r} in {where}")
 
 
 def _require(data, key):
@@ -112,6 +124,7 @@ def _parse_matrix(data):
 
 
 def _parse_quadric(data) -> Quadric:
+    _check_keys(data, ("a", "b", "c"), "quadric")
     a = _parse_matrix(_require(data, "a"))
     b = _parse_vector(_require(data, "b"))
     c = _rat(data.get("c", -1))
@@ -119,6 +132,7 @@ def _parse_quadric(data) -> Quadric:
 
 
 def _parse_variety(data) -> LinearVariety:
+    _check_keys(data, ("columns", "offset"), "variety")
     columns = _require(data, "columns")
     if not isinstance(columns, list) or not columns:
         raise ValueError("variety columns must be a nonempty list")
@@ -136,6 +150,7 @@ def _parse_tpoly(x):
 
 
 def _parse_family(data) -> QuadricFamily:
+    _check_keys(data, ("a", "b", "c", "interval"), "family")
     a = [[_parse_tpoly(e) for e in row] for row in _require(data, "a")]
     b = [_parse_tpoly(e) for e in _require(data, "b")]
     c = _parse_tpoly(data["c"]) if "c" in data else None

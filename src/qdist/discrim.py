@@ -1,17 +1,17 @@
-"""Discriminants via matrices of division remainders.
+"""Discriminants: exact values, and matrices of division remainders.
 
-Univariate: row l of the matrix holds the remainder coefficients of
-x^l * g(x) modulo g'(x); the discriminant is N^N * lead(g)^N times the
-determinant, and the cofactors of the last row locate a unique multiple
-zero rationally.
+Univariate: the value is resultant(g, g'), by the integer subresultant
+sequence. Row l of the remainder matrix holds the coefficients of
+x^l * g(x) modulo g'(x); N^N * lead(g)^N times its determinant is the same
+value, and the cofactors of the last row locate a unique multiple zero.
 
 Bivariate: row m of the analogue holds the coefficients of x^m * g over a
 fixed basis of (N-1)^2 power products x^m, after reduction modulo the ideal
-generated by both partial derivatives (one echelon pass over the shifted
-partials). The determinant of that matrix equals the product of g over its
-stationary points, and its cofactors locate a unique multiple zero. Inputs
-whose shifted partials meet the basis span have no unique matrix and are
-reported as degenerate.
+generated by both partial derivatives (one fraction-free echelon pass over
+the shifted partials). The determinant of that matrix equals the product of
+g over its stationary points, and its cofactors locate a unique multiple
+zero. Inputs whose shifted partials meet the basis span have no unique
+matrix and are reported as degenerate.
 
 Parameter-dependent inputs are handled by exact evaluation / interpolation
 at rational nodes with verification nodes guarding the degree bound.
@@ -19,6 +19,7 @@ at rational nodes with verification nodes guarding the degree bound.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 
 from .errors import DegeneracyError
@@ -30,6 +31,7 @@ from .poly import (
     UniPoly,
     divrem,
     interpolate_verified,
+    resultant,
 )
 from .scalar import QQ
 
@@ -81,18 +83,17 @@ def bezout_matrix(g: UniPoly) -> BezoutData:
 
 
 def discriminant_uni(g: UniPoly):
-    """Discriminant of g, pinned to equal resultant(g, g') exactly.
+    """Discriminant of g: resultant(g, g'), by the integer subresultant PRS.
 
-    Vanishes exactly when g has a multiple complex zero. The value is
-    N^N * lead(g)^N * det of the remainder matrix: multiplication by g on
-    the quotient ring modulo g' has determinant prod g(zeros of g'), and
-    resultant(g', g) contributes lead(g')^deg(g) = (N*lead)^N.
+    Vanishes exactly when g has a multiple complex zero. It equals
+    N^N * lead(g)^N * det of the ``bezout_matrix`` remainder matrix, which
+    is kept for recovering a multiple zero from its cofactors: multiplication
+    by g modulo g' has determinant prod g(zeros of g'), and resultant(g', g)
+    contributes lead(g')^deg(g) = (N*lead)^N.
     """
-    n = g.degree
-    if n < 2:
+    if g.degree < 2:
         raise ValueError("degree must be at least 2")
-    data = bezout_matrix(g)
-    return QQ(n) ** n * g.lead**n * data.det
+    return resultant(g, g.derivative())
 
 
 def _cofactor_ratios(data: BezoutData, count: int):
@@ -198,6 +199,15 @@ def _monomials_leq(d: int):
     return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
 
 
+def _int_terms(p: BiPoly):
+    """(content, [(monomial, int)]): p = content * the primitive integer terms."""
+    terms = list(p.terms())
+    lcm = math.lcm(*(int(c.denominator) for _, c in terms))
+    ints = [int(c.numerator) * (lcm // int(c.denominator)) for _, c in terms]
+    g = math.gcd(*ints)
+    return QQ(g, lcm), [(m, x // g) for (m, _), x in zip(terms, ints)]
+
+
 class GradientReducer:
     """Reduces polynomials modulo the two partial derivatives of g.
 
@@ -207,6 +217,10 @@ class GradientReducer:
     over the basis. When the shifted partials span part of the basis span
     (gradient ideal not zero-dimensional of the expected degree) those
     coefficients are not unique, and construction raises DegeneracyError.
+
+    The echelon is fraction-free (Bareiss, Math. Comp. 1968): integer rows,
+    divided by their content after every pivot step, so that each is the
+    primitive integer multiple of the row a rational echelon would hold.
     """
 
     def __init__(self, g: BiPoly, extra_degree: int = 0):
@@ -223,13 +237,13 @@ class GradientReducer:
         self.index = {m: k for k, m in enumerate(nonbasis + self.basis)}
         self.n_nonbasis = len(nonbasis)
         self.dim = len(self.index)
-        # lead position -> nonzero (position, value) pairs, value 1 at lead
+        # lead position -> primitive integer row as (position, value) pairs, lead first
         self.pivots = {}
         shift_deg = self.max_degree - (n - 1)
         for dp in (g.derivative(0), g.derivative(1)):
-            terms = list(dp.terms())
+            _, terms = _int_terms(dp)
             for a1, a2 in _monomials_leq(shift_deg):
-                v = [QQ(0)] * self.dim
+                v = [0] * self.dim
                 for (i, j), c in terms:
                     v[self.index[(i + a1, j + a2)]] = c
                 self._eliminate(v)
@@ -241,31 +255,48 @@ class GradientReducer:
                         "gradient-reduction-non-unique",
                         "gradient ideal meets the quotient basis span",
                     )
-                inv = 1 / v[lead]
-                self.pivots[lead] = [(k, c * inv) for k, c in enumerate(v) if c]
+                self.pivots[lead] = [(k, c) for k, c in enumerate(v) if c]
 
     def _eliminate(self, v):
-        """Clear v at every pivot position, in place."""
+        """Clear the integer vector v at every pivot position, in place.
+
+        Returns integers (num, den) with v = num/den * (v_in - a combination
+        of pivot rows); every pivot step leaves v primitive.
+        """
+        num = den = 1
         for lead in sorted(self.pivots):
             c = v[lead]
             if c:
-                for k, pk in self.pivots[lead]:
-                    v[k] = v[k] - c * pk
+                row = self.pivots[lead]
+                h = math.gcd(c, row[0][1])
+                a, b = row[0][1] // h, c // h
+                if a != 1:
+                    v[:] = [a * x for x in v]
+                    num *= a
+                for k, pk in row:
+                    v[k] -= b * pk
+                content = math.gcd(*v)
+                if content > 1:
+                    v[:] = [x // content for x in v]
+                    den *= content
+        return num, den
 
     def reduce(self, p: BiPoly):
         """Coefficients of p over the quotient basis (ascending basis order)."""
         if p.total_degree > self.max_degree:
             raise ValueError("degree exceeds the reducer's working degree")
-        v = [QQ(0)] * self.dim
-        for (i, j), c in p.terms():
-            v[self.index[(i, j)]] = c
-        self._eliminate(v)
+        content, terms = _int_terms(p)
+        v = [0] * self.dim
+        for m, c in terms:
+            v[self.index[m]] = c
+        num, den = self._eliminate(v)
         if any(v[: self.n_nonbasis]):
             raise DegeneracyError(
                 "gradient-reduction-unsolvable",
                 "polynomial does not reduce to the quotient basis",
             )
-        return v[self.n_nonbasis :]
+        scale = content * QQ(den, num)
+        return [c * scale for c in v[self.n_nonbasis :]]
 
 
 def bezout_matrix_biv(g: BiPoly) -> BezoutData:

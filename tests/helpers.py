@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from qdist.discrim import quotient_basis_monomials
+from qdist.errors import DegeneracyError
 from qdist.linalg import MatrixQ, VectorQ, definiteness, determinant
 from qdist.metrics import Quadric, normalize
-from qdist.poly import UniPoly, divrem
+from qdist.poly import BiPoly, UniPoly, divrem
 from qdist.scalar import QQ, rational
 
 
@@ -138,3 +140,68 @@ def _var_at(chain, x):
     """Sign variations of the Sturm chain at x, zeros skipped."""
     signs = [v > 0 for v in (p.eval(x) for p in chain) if v]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+class FractionGradientReducer:
+    """Reduction modulo both partials of g by a Fraction echelon: an oracle.
+
+    Same monomial order, working degree and reason codes as
+    ``qdist.discrim.GradientReducer``, with every pivot row scaled to lead 1.
+    """
+
+    def __init__(self, g: BiPoly, extra_degree: int = 0):
+        n = g.total_degree
+        self.basis = quotient_basis_monomials(n)
+        self.max_degree = max(i + j for i, j in self.basis) + n + extra_degree
+        basis_set = set(self.basis)
+        window = [(i, j) for i in range(self.max_degree + 1)
+                  for j in range(self.max_degree + 1 - i)]
+        nonbasis = [m for m in window if m not in basis_set]
+        self.index = {m: k for k, m in enumerate(nonbasis + self.basis)}
+        self.n_nonbasis = len(nonbasis)
+        self.dim = len(self.index)
+        self.pivots = {}
+        shift_deg = self.max_degree - (n - 1)
+        for dp in (g.derivative(0), g.derivative(1)):
+            terms = list(dp.terms())
+            for a1 in range(shift_deg + 1):
+                for a2 in range(shift_deg + 1 - a1):
+                    v = [QQ(0)] * self.dim
+                    for (i, j), c in terms:
+                        v[self.index[(i + a1, j + a2)]] = c
+                    self._eliminate(v)
+                    lead = next((k for k, c in enumerate(v) if c), None)
+                    if lead is None:
+                        continue
+                    if lead >= self.n_nonbasis:
+                        raise DegeneracyError("gradient-reduction-non-unique", "oracle")
+                    inv = 1 / v[lead]
+                    self.pivots[lead] = [(k, c * inv) for k, c in enumerate(v) if c]
+
+    def _eliminate(self, v):
+        for lead in sorted(self.pivots):
+            c = v[lead]
+            if c:
+                for k, pk in self.pivots[lead]:
+                    v[k] = v[k] - c * pk
+
+    def reduce(self, p: BiPoly):
+        v = [QQ(0)] * self.dim
+        for (i, j), c in p.terms():
+            v[self.index[(i, j)]] = c
+        self._eliminate(v)
+        if any(v[: self.n_nonbasis]):
+            raise DegeneracyError("gradient-reduction-unsolvable", "oracle")
+        return v[self.n_nonbasis :]
+
+
+def fraction_bezout_rows(g: BiPoly):
+    """Rows of ``bezout_matrix_biv(g)`` computed by the Fraction oracle."""
+    for extra in (0, 2, 4):
+        reducer = FractionGradientReducer(g, extra_degree=extra)
+        try:
+            return [reducer.reduce(BiPoly.from_terms({m: QQ(1)}, g.vars) * g)
+                    for m in reducer.basis]
+        except DegeneracyError:
+            if extra == 4:
+                raise

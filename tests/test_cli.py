@@ -150,10 +150,39 @@ def test_low_bits_exit_0_without_nearest_points(tmp_path, bits):
         (dict(ELLIPSE_POINT, options={"bits": True}), "bits must be an integer"),
         (dict(ELLIPSE_POINT, options={"exact": "no"}), "exact must be true or false"),
         (dict(ELLIPSE_POINT, options={"exact": 1}), "exact must be true or false"),
+        # a key no parser reads would otherwise change the problem silently:
+        # "point" is not how a variety's offset is spelled
+        (
+            dict(AXIS_PROBLEM, variety={"columns": [[1, 0, 0]], "point": [0, 5, 0]}),
+            "unknown key 'point' in variety",
+        ),
+        (
+            {
+                "kind": "family-point",
+                "family": {"a": [[1, 0], [0, 1]], "b": [[0, -1], 0]},
+                "interval": [0, 1],
+                "point": [3, 0],
+            },
+            "unknown key 'interval' in the problem",
+        ),
+        (
+            {
+                "kind": "quadric-quadric",
+                "quadric": ELLIPSE_POINT["quadric"],
+                "quadric2": {"a": [[1, 0], [0, 1]], "b": [-8, 0], "c": 15},
+                "point": [3, 0],
+            },
+            "unknown key 'point' in the problem",
+        ),
+        (dict(ELLIPSE_POINT, quadric={"a": [[1, 0], [0, 1]], "b": [0, 0], "d": 1}),
+         "unknown key 'd' in quadric"),
+        (dict(ELLIPSE_POINT, options={"bit": 64}), "unknown key 'bit' in options"),
     ],
     ids=[
         "options-list", "interval-one-endpoint", "ragged-columns", "zero-denominator",
         "bits-float", "bits-string", "bits-bool", "exact-string", "exact-int",
+        "variety-point", "family-top-level-interval", "quadric-quadric-point",
+        "quadric-d", "options-bit",
     ],
 )
 def test_malformed_input_exit_2(tmp_path, capsys, problem, detail):

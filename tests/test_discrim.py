@@ -3,7 +3,7 @@ import random
 import mpmath as mp
 import pytest
 
-from helpers import rand_poly, rand_rat
+from helpers import FractionGradientReducer, fraction_bezout_rows, rand_poly, rand_rat
 from qdist.discrim import (
     bezout_matrix,
     bezout_matrix_biv,
@@ -17,7 +17,8 @@ from qdist.discrim import (
 )
 from qdist.errors import DegeneracyError
 from qdist.linalg import MatrixQ, VectorQ, det_unipoly_matrix, rank, solve_linear
-from qdist.poly import BiPoly, ParamPoly, RatFunc, UniPoly, divrem, resultant
+from qdist.metrics import general_bipoly_at, normalize
+from qdist.poly import BiPoly, ParamPoly, RatFunc, UniPoly, divrem
 from qdist.realroots import isolate_real_roots, refine
 from qdist.scalar import QQ
 
@@ -76,10 +77,13 @@ def test_discriminant_definition_product_oracle():
 
 
 def test_discriminant_matches_resultant():
+    # discriminant_uni is the subresultant resultant(p, p'); check it against
+    # the remainder-matrix identity, an independent route to the same value
     rng = random.Random(8)
     for _ in range(120):
         p = rand_poly(rng, rng.randint(2, 8))
-        assert discriminant_uni(p) == resultant(p, p.derivative())
+        n = p.degree
+        assert discriminant_uni(p) == QQ(n) ** n * p.lead**n * bezout_matrix(p).det
 
 
 def test_discriminant_scaling_laws():
@@ -229,6 +233,66 @@ def test_reduce_degenerate_basis_is_reported():
     with pytest.raises(DegeneracyError) as exc:
         bezout_matrix_biv(g)
     assert exc.value.code == "gradient-reduction-non-unique"
+    with pytest.raises(DegeneracyError) as exc:
+        FractionGradientReducer(g)
+    assert exc.value.code == "gradient-reduction-non-unique"
+
+
+def _matches_oracle(g):
+    """Asserts the integer and Fraction reducers agree; False if both raise."""
+    try:
+        rows = fraction_bezout_rows(g)
+    except DegeneracyError as exc:
+        with pytest.raises(DegeneracyError) as raised:
+            bezout_matrix_biv(g)
+        assert raised.value.code == exc.code
+        return False
+    assert [list(r) for r in bezout_matrix_biv(g).matrix.entries] == rows
+    return True
+
+
+def test_integer_reducer_matches_fraction_oracle_random():
+    rng = random.Random(74)
+    done = {3: 0, 4: 0, 5: 0}
+    while any(count < 2 for count in done.values()):
+        n = rng.choice([d for d, count in done.items() if count < 2])
+        g = BiPoly.from_terms(
+            {(i, j): rand_rat(rng, -9, 9, 5) for i in range(n + 1) for j in range(n + 1 - i)}
+        )
+        if g.total_degree == n and _matches_oracle(g):
+            done[n] += 1
+
+
+# the first general pair of the pair-family benchmark workload (seed 1) and
+# the criterion-5 ellipsoid pair
+PENCIL_PAIRS = {
+    "pair-family": (
+        normalize(MatrixQ([[4, QQ(1, 2)], [QQ(1, 2), 2]]), VectorQ([QQ(1, 2), 2]), 1),
+        normalize(MatrixQ([[2, -1], [-1, 4]]), VectorQ([-3, -2]), 7),
+    ),
+    "criterion-5": (
+        normalize(
+            MatrixQ([[7, -2, 0], [-2, 6, -2], [0, -2, 5]]),
+            VectorQ([QQ(-37, 2), -6, QQ(3, 2)]),
+            54,
+        ),
+        normalize(
+            MatrixQ([[189, 0, 1], [0, 1, QQ(-1, 2)], [1, QQ(-1, 2), 189]]),
+            VectorQ.zero(3),
+            -27,
+        ),
+    ),
+}
+BIG_Z = QQ(random.Random(75).getrandbits(128), random.Random(76).getrandbits(128) | 1)
+
+
+@pytest.mark.parametrize("pair", sorted(PENCIL_PAIRS))
+def test_integer_reducer_matches_fraction_oracle_on_pencils(pair):
+    q1, q2 = PENCIL_PAIRS[pair]
+    g0 = general_bipoly_at(q1, q2, 0)
+    g1 = general_bipoly_at(q1, q2, 1) - g0
+    for z in (QQ(1), QQ(-1), QQ(49, 4), BIG_Z):
+        assert _matches_oracle(g0 + z * g1)
 
 
 def test_discriminant_biv_trivial():
