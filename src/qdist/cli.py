@@ -9,6 +9,7 @@ or validation errors, 3 mathematical degeneracies (machine-readable reason).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -418,6 +419,47 @@ def build_parser():
     return parser
 
 
+def _dump(payload, stream, indent=None):
+    json.dump(payload, stream, indent=indent)
+    stream.write("\n")
+
+
+def _usage_error(exc) -> int:
+    _dump({"status": "error", "detail": str(exc)}, sys.stderr)
+    return 2
+
+
+def _emit(payload, path, code) -> int:
+    """Write the payload to ``path`` (stdout when None) and return ``code``.
+
+    An output file that cannot be opened is a usage error, exit 2.
+    """
+    try:
+        stream = open(path, "w") if path else sys.stdout
+    except OSError as exc:
+        return _usage_error(exc)
+    _dump(payload, stream, indent=2)
+    if path:
+        stream.close()
+    return code
+
+
+def _run_sweep(problem: ProblemFile, args) -> int:
+    if not args.grid:
+        raise ValueError("sweep requires --grid")
+    if problem.exact and not args.out:
+        raise ValueError("exact sweep sidecar requires --out")
+    with contextlib.ExitStack() as stack:
+        try:
+            out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+            exact_stream = (stack.enter_context(open(args.out + ".exact.csv", "w"))
+                            if problem.exact else None)
+        except OSError as exc:
+            return _usage_error(exc)
+        cmd_sweep(problem, args.grid, out, exact_stream)
+    return 0
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -429,27 +471,10 @@ def main(argv=None) -> int:
         if args.exact:
             problem.exact = True
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        json.dump({"status": "error", "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _usage_error(exc)
     try:
         if args.command == "sweep":
-            if not args.grid:
-                raise ValueError("sweep requires --grid")
-            out = open(args.out, "w") if args.out else sys.stdout
-            exact_stream = None
-            if problem.exact:
-                if not args.out:
-                    raise ValueError("exact sweep sidecar requires --out")
-                exact_stream = open(args.out + ".exact.csv", "w")
-            try:
-                cmd_sweep(problem, args.grid, out, exact_stream)
-            finally:
-                if args.out:
-                    out.close()
-                if exact_stream is not None:
-                    exact_stream.close()
-            return 0
+            return _run_sweep(problem, args)
         if args.command == "distance":
             result = cmd_distance(problem)
         elif args.command == "intersect":
@@ -459,9 +484,7 @@ def main(argv=None) -> int:
         else:
             result = cmd_family(problem)
     except ValueError as exc:
-        json.dump({"status": "error", "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _usage_error(exc)
     except Exception as exc:  # a QdistError, or a fault no solver classified
         if isinstance(exc, QdistError):
             reason = exc.code if isinstance(exc, DegeneracyError) else "error"
@@ -469,18 +492,8 @@ def main(argv=None) -> int:
         else:
             reason, detail = "internal-error", f"{type(exc).__name__}: {exc}"
         payload = {"status": "degenerate", "reason": reason, "detail": detail}
-        stream = open(args.out, "w") if args.out else sys.stdout
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
-        if args.out:
-            stream.close()
-        return 3
-    stream = open(args.out, "w") if args.out else sys.stdout
-    json.dump(result, stream, indent=2)
-    stream.write("\n")
-    if args.out:
-        stream.close()
-    return 0
+        return _emit(payload, args.out, 3)
+    return _emit(result, args.out, 0)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -33,7 +33,7 @@ from .poly import (
     interpolate_verified,
     resultant,
 )
-from .scalar import QQ
+from .scalar import QQ, int_clear
 
 
 class BezoutData:
@@ -202,10 +202,8 @@ def _monomials_leq(d: int):
 def _int_terms(p: BiPoly):
     """(content, [(monomial, int)]): p = content * the primitive integer terms."""
     terms = list(p.terms())
-    lcm = math.lcm(*(int(c.denominator) for _, c in terms))
-    ints = [int(c.numerator) * (lcm // int(c.denominator)) for _, c in terms]
-    g = math.gcd(*ints)
-    return QQ(g, lcm), [(m, x // g) for (m, _), x in zip(terms, ints)]
+    content, ints = int_clear([c for _, c in terms])
+    return content, [(m, x) for (m, _), x in zip(terms, ints)]
 
 
 class GradientReducer:

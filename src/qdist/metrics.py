@@ -347,10 +347,14 @@ def variety_intersects(e: Quadric, v: LinearVariety):
     return cert * factor >= 0, cert
 
 
-def centered_intersects(q1: Quadric, q2: Quadric):
-    """Centered quadrics intersect iff A1 - A2 is not sign-definite."""
+def _require_centered(q1: Quadric, q2: Quadric):
     if not q1.centered or not q2.centered:
         raise ValueError("both quadrics must be centered")
+
+
+def centered_intersects(q1: Quadric, q2: Quadric):
+    """Centered quadrics intersect iff A1 - A2 is not sign-definite."""
+    _require_centered(q1, q2)
     if definiteness(q1.a) != POSITIVE_DEFINITE:
         raise DegeneracyError("not-an-ellipsoid", "first matrix must be positive definite")
     cls = definiteness(q1.a - q2.a)
@@ -414,11 +418,11 @@ def _critical_sign_range(pencil: ParamPoly):
         if shared.degree > 0 and (shared.eval(iv.lo) > 0) != (shared.eval(iv.hi) > 0):
             has_zero = True  # V vanishes exactly at this critical point
             continue
-        r = refine_interval(iv, h, bits)
+        r = refine_interval(iv, bits)
         width = bits
         while not r.exact and v_num and count_roots(v_num, r.lo, r.hi):
             width += 64
-            r = refine_interval(r, h, width)
+            r = refine_interval(r, width)
         value = v_num.eval(r.lo if r.exact else r.midpoint)
         if not value:
             has_zero = True
@@ -523,6 +527,7 @@ def centered_distance_poly(q1: Quadric, q2: Quadric) -> UniPoly:
     or other coinciding-eigenvalue configurations) the discriminant vanishes
     identically; the square-free part of the pencil is used instead.
     """
+    _require_centered(q1, q2)
     pencil = centered_pencil(q1, q2)
     n = q1.dim
     f = discriminant_param(pencil, degree_bound=4 * n * n)
@@ -580,7 +585,12 @@ def general_distance_poly_full(q1: Quadric, q2: Quadric):
 
 
 def general_distance_poly(q1: Quadric, q2: Quadric) -> UniPoly:
-    """F(z) for two quadrics in general position, via the bivariate discriminant."""
+    """F(z) for two quadrics in general position, via the bivariate discriminant.
+
+    Sphere pairs take the coaxial F, as ``solve_general`` does.
+    """
+    if _sphere_data(q1) is not None and _sphere_data(q2) is not None:
+        return sphere_distance_poly(q1, q2)
     f, _ = general_distance_poly_full(q1, q2)
     return f
 
@@ -758,7 +768,7 @@ class QuadricPairProblem:
 def _positive_roots_info(f: UniPoly, bits: int):
     infos = []
     for iv in positive_roots(f):
-        r = refine_interval(iv, f, bits)
+        r = refine_interval(iv, bits)
         val = r.lo if r.exact else (r.lo + r.hi) / 2
         err = QQ(0) if r.exact else r.width / 2
         infos.append(RootInfo(val, err, iv.multiplicity))
@@ -896,13 +906,30 @@ def _sphere_data(q: Quadric):
     return center, r2
 
 
-def _solve_sphere_sphere(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport:
-    """Two spheres: the pencil determinant factors identically, so the
-    distance polynomial comes from the one-dimensional coaxial reduction.
+def sphere_distance_poly(q1: Quadric, q2: Quadric) -> UniPoly:
+    """F(z) for two spheres, from the one-dimensional coaxial reduction.
 
-    Critical squared distances are (sqrt(D2) +- r1 +- r2)^2; their product
-    polynomial has rational coefficients by symmetry.
+    The pencil determinant of a sphere pair factors identically. The critical
+    squared distances are (sqrt(D2) +- r1 +- r2)^2, with D2 the squared
+    distance of the centres; their product polynomial has rational
+    coefficients by symmetry.
     """
+    (c1, r1sq) = _sphere_data(q1)
+    (c2, r2sq) = _sphere_data(q2)
+    d2 = (c1 - c2).norm2()
+    e1 = 2 * (r1sq + r2sq)
+    e0 = (r1sq - r2sq) ** 2
+    z = UniPoly.x(ZVAR)
+    u = (z - d2) ** 2
+    v = z + d2
+    f = u * u + u * (e1 * e1 - 2 * e0 - 2 * e1 * v) + (
+        e0 * e0 - 2 * e0 * e1 * v + 4 * e0 * v * v
+    )
+    return _finalize_distance_poly(f)
+
+
+def _solve_sphere_sphere(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport:
+    """Two spheres, solved by the coaxial reduction of ``sphere_distance_poly``."""
     (c1, r1sq) = _sphere_data(q1)
     (c2, r2sq) = _sphere_data(q2)
     if r1sq <= 0 or r2sq <= 0:
@@ -917,17 +944,6 @@ def _solve_sphere_sphere(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport:
         certificate={"sphere_gap": cert},
     )
     report.warnings.append("sphere pair solved by the coaxial reduction")
-
-    def distance_poly():
-        e1 = 2 * (r1sq + r2sq)
-        e0 = (r1sq - r2sq) ** 2
-        z = UniPoly.x(ZVAR)
-        u = (z - d2) ** 2
-        v = z + d2
-        f = u * u + u * (e1 * e1 - 2 * e0 - 2 * e1 * v) + (
-            e0 * e0 - 2 * e0 * e1 * v + 4 * e0 * v * v
-        )
-        return _finalize_distance_poly(f)
 
     def recover(z_hat):
         if not d2:
@@ -948,7 +964,9 @@ def _solve_sphere_sphere(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport:
                     best = (gap, x, y)
         return best[1], best[2], {"direction": tuple(unit)}
 
-    return _solve_pipeline(report, bits, distance_poly, recover, first=q1, other=q2)
+    return _solve_pipeline(
+        report, bits, lambda: sphere_distance_poly(q1, q2), recover, first=q1, other=q2
+    )
 
 
 def solve_general(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:

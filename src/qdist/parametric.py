@@ -203,7 +203,7 @@ def _first_crossing(r: UniPoly, interval, bits: int):
     """
     if interval is None:
         roots = isolate_real_roots(r)
-        return refine(roots[0], r, bits) if roots else None
+        return refine(roots[0], bits) if roots else None
     lo, hi = interval
     # the common case, no crossing, needs no isolation of r
     if r.eval(lo) and r.eval(hi) and not count_roots(r, lo, hi):
@@ -212,10 +212,10 @@ def _first_crossing(r: UniPoly, interval, bits: int):
         # shrink the bracket until it lies on one side of each end point
         width = bits
         while not iv.exact and (iv.lo < lo < iv.hi or iv.lo < hi < iv.hi):
-            iv = refine_interval(iv, r, width)
+            iv = refine_interval(iv, width)
             width += 64
         if lo <= iv.lo and iv.hi <= hi:
-            return refine(iv, r, bits)
+            return refine(iv, bits)
     return None
 
 
@@ -265,7 +265,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
         roots = positive_roots(poly)
         if roots:
             iv = roots[0]
-            endpoints.append(_Candidate(refine(iv, poly, bits), label, iv.multiplicity, t_end))
+            endpoints.append(_Candidate(refine(iv, bits), label, iv.multiplicity, t_end))
     endpoints.sort(key=lambda c: c.z)  # stable: endpoint a first on a tie
     interior = []
     if big_f is not None:
@@ -278,7 +278,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     # is next to be tried, and yields to an endpoint zero strictly below it
     best = None
     for iv in interior:
-        z_hat = refine(iv, big_f, bits)
+        z_hat = refine(iv, bits)
         if endpoints and endpoints[0].z < z_hat:
             break
         best = _validate_interior(fam, x0, surface, z_hat, bits)
@@ -344,6 +344,6 @@ def _validate_interior(fam, x0, surface, z_hat, bits):
         roots = positive_roots(member_poly)
     except (ValueError, AssertionError):
         return None
-    if roots and refine(roots[0], member_poly, bits // 2) < z_hat - tolerance(bits // 2):
+    if roots and refine(roots[0], bits // 2) < z_hat - tolerance(bits // 2):
         return None  # a smaller positive zero: z_hat is a far branch
     return _Candidate(z_hat, "interior", 1, t_hat)

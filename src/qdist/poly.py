@@ -13,7 +13,7 @@ BiPoly is a dense bivariate polynomial on a coefficient grid.
 from __future__ import annotations
 
 from .errors import DegeneracyError
-from .scalar import QQ, is_rational
+from .scalar import QQ, int_clear, is_rational
 
 
 def _coerce(c):
@@ -166,28 +166,15 @@ class UniPoly:
 
     # -- rational-coefficient utilities -------------------------------------
 
-    def content(self):
-        """Positive rational c with self = c * primitive integer polynomial.
-
-        The sign convention puts the sign on the primitive part.
-        """
-        if not self.coeffs:
-            return QQ(0)
-        import math
-
-        gn = 0
-        ld = 1
-        for c in self.coeffs:
-            gn = math.gcd(gn, abs(int(c.numerator)))
-            ld = ld * int(c.denominator) // math.gcd(ld, int(c.denominator))
-        return QQ(gn, ld)
-
     def primitive(self):
-        """(content, primitive part); primitive has integer coefficients."""
-        c = self.content()
+        """(content, primitive part); primitive has integer coefficients.
+
+        The content is positive, so the sign stays on the primitive part.
+        """
+        c, ints = int_clear(self.coeffs)
         if not c:
             return QQ(0), self
-        return c, UniPoly([a / c for a in self.coeffs], self.var)
+        return c, UniPoly(ints, self.var)
 
     def normalized(self):
         """Primitive integer-coefficient polynomial with positive lead."""
@@ -243,25 +230,6 @@ def divrem(numer: UniPoly, denom: UniPoly):
 # ---------------------------------------------------------------------------
 # integer-level helpers for gcd / resultant (primitive PRS, subresultants)
 # ---------------------------------------------------------------------------
-
-
-def _int_clear(p: UniPoly):
-    """(content, int coefficient list) with p = content * ints."""
-    import math
-
-    if not p.coeffs:
-        return QQ(0), []
-    ld = 1
-    for c in p.coeffs:
-        d = int(c.denominator)
-        ld = ld * d // math.gcd(ld, d)
-    ints = [int(c.numerator) * (ld // int(c.denominator)) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return QQ(g, ld), ints
 
 
 def _ideg(a):
@@ -322,8 +290,8 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         return q.monic() if q else q
     if not q:
         return p.monic()
-    _, a = _int_clear(p)
-    _, b = _int_clear(q)
+    _, a = int_clear(p.coeffs)
+    _, b = int_clear(q.coeffs)
     if _ideg(a) < _ideg(b):
         a, b = b, a
     while b:
@@ -391,8 +359,8 @@ def resultant(p: UniPoly, q: UniPoly):
         return p.coeffs[0] ** dq
     if dq == 0:
         return q.coeffs[0] ** dp
-    cp, a = _int_clear(p)
-    cq, b = _int_clear(q)
+    cp, a = int_clear(p.coeffs)
+    cq, b = int_clear(q.coeffs)
     factor = cp**dq * cq**dp
     return factor * _int_resultant(a, b)
 

@@ -5,18 +5,23 @@ isolating intervals (zero-width for roots that are recognized as rational),
 with exact multiplicities taken from the square-free decomposition.
 Isolation bisects intervals in the manner of Vincent, Collins and Akritas:
 each interval carries the square-free part mapped onto (0, 1) as an integer
-polynomial, and Descartes' rule of signs counts its roots there. Refinement
-bisects the rational bracket by sign tests.
+polynomial, and Descartes' rule of signs counts its roots there.
+
+Every isolating interval keeps the square-free part it was isolated on, so
+refinement computes no square-free part of its own: it bisects the rational
+bracket by sign tests of that polynomial. A refined root is returned exact
+when it is hit by a midpoint or when the simplest rational in the final
+bracket is a root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import NoPositiveRootError
 from .poly import UniPoly, squarefree_decomposition, squarefree_part
-from .scalar import QQ, den, num, simplest_in_interval
+from .scalar import QQ, den, int_clear, num, simplest_in_interval
 
 ALL_POSITIVE = "all-positive"
 ALL_NEGATIVE = "all-negative"
@@ -28,12 +33,16 @@ NO_REAL_ROOTS = "none"
 class IsolatingInterval:
     """Open interval (lo, hi) containing exactly one distinct real root.
 
-    lo == hi means the root is the exact rational lo.
+    lo == hi means the root is the exact rational lo. ``poly`` is the
+    square-free polynomial the interval was isolated on, with any root at 0
+    divided out: it is nonzero at both ends of an inexact interval and
+    changes sign across it, and refinement bisects on it.
     """
 
     lo: object
     hi: object
-    multiplicity: int = 1
+    multiplicity: int
+    poly: UniPoly = field(compare=False, repr=False)
 
     @property
     def exact(self) -> bool:
@@ -46,11 +55,6 @@ class IsolatingInterval:
     @property
     def width(self):
         return self.hi - self.lo
-
-
-def _integer_coeffs(p: UniPoly):
-    """Ascending coefficients of p's primitive integer multiple, sign kept."""
-    return [num(c) for c in p.primitive()[1].coeffs]
 
 
 def _unit_transform(cs, lo, hi):
@@ -136,7 +140,7 @@ def count_roots(p: UniPoly, lo, hi) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi)."""
     if not p:
         raise ValueError("zero polynomial")
-    return _count_roots(_unit_transform(_integer_coeffs(squarefree_part(p)), lo, hi))
+    return _count_roots(_unit_transform(int_clear(squarefree_part(p).coeffs)[1], lo, hi))
 
 
 def root_bound(p: UniPoly):
@@ -153,7 +157,7 @@ def _isolate_squarefree(s: UniPoly, lo, hi):
     (0, 1) as an integer polynomial, whose Descartes count decides whether
     the interval is dropped, kept or halved.
     """
-    cs = _integer_coeffs(s)
+    cs = int_clear(s.coeffs)[1]
     out = []
     stack = [(lo, hi, _unit_transform(cs, lo, hi))]
     while stack:
@@ -247,34 +251,19 @@ def isolate_real_roots(p: UniPoly):
                     break
         if mult is None:
             raise AssertionError("could not attribute a multiplicity")
-        out.append(IsolatingInterval(a, bnd, mult))
+        out.append(IsolatingInterval(a, bnd, mult, s_rest))
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 
 
-def _bisection_function(p: UniPoly) -> UniPoly:
-    """Square-free part with roots at zero stripped (those are always exact)."""
-    s = squarefree_part(p)
-    cs = list(s.coeffs)
-    while cs and not cs[0]:
-        cs.pop(0)
-    return UniPoly(cs, p.var)
-
-
-def _bisect(iv: IsolatingInterval, p: UniPoly, bits: int):
+def _bisect(iv: IsolatingInterval, bits: int):
     """Shrink the bracket to width <= 2^-bits; returns (lo, hi), lo == hi if exact."""
     if iv.exact:
         return iv.lo, iv.lo
-    s = _bisection_function(p)
+    s = iv.poly
     lo, hi = iv.lo, iv.hi
     flo = s.eval(lo)
-    fhi = s.eval(hi)
-    if not flo or not fhi:
-        raise ValueError("isolating interval endpoint is a root")
-    if (flo > 0) == (fhi > 0):
-        raise ValueError("interval does not bracket a sign change")
     target = QQ(1, 1 << bits)
-    step = 0
     while hi - lo > target:
         mid = (lo + hi) / 2
         v = s.eval(mid)
@@ -285,27 +274,22 @@ def _bisect(iv: IsolatingInterval, p: UniPoly, bits: int):
             flo = v
         else:
             hi = mid
-        step += 1
-        if step % 16 == 0:
-            cand = simplest_in_interval(lo, hi)
-            if cand != lo and cand != hi and not s.eval(cand):
-                return cand, cand
     cand = simplest_in_interval(lo, hi)
     if cand != lo and cand != hi and not s.eval(cand):
         return cand, cand
     return lo, hi
 
 
-def refine(iv: IsolatingInterval, p: UniPoly, bits: int):
+def refine(iv: IsolatingInterval, bits: int):
     """Rational approximation within 2^-bits of the root isolated by iv."""
-    lo, hi = _bisect(iv, p, bits)
+    lo, hi = _bisect(iv, bits)
     return lo if lo == hi else (lo + hi) / 2
 
 
-def refine_interval(iv: IsolatingInterval, p: UniPoly, bits: int) -> IsolatingInterval:
+def refine_interval(iv: IsolatingInterval, bits: int) -> IsolatingInterval:
     """Shrink the isolating interval to width at most 2^-bits."""
-    lo, hi = _bisect(iv, p, bits)
-    return IsolatingInterval(lo, hi, iv.multiplicity)
+    lo, hi = _bisect(iv, bits)
+    return IsolatingInterval(lo, hi, iv.multiplicity, iv.poly)
 
 
 def positive_roots(p: UniPoly):
@@ -326,7 +310,7 @@ def min_positive_zero(p: UniPoly, bits: int = 128):
     if not roots:
         raise NoPositiveRootError()
     iv = roots[0]
-    return refine(iv, p, bits), iv.multiplicity == 1, iv.multiplicity
+    return refine(iv, bits), iv.multiplicity == 1, iv.multiplicity
 
 
 def root_sign_counts(intervals):

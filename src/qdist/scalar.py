@@ -9,6 +9,7 @@ exact; gmpy2 is faster. ``RAT_TYPE`` names the backend in use.
 
 from __future__ import annotations
 
+import math
 import sys
 
 # exact coefficients routinely exceed the default str() guard for huge ints
@@ -25,11 +26,10 @@ try:
         return int(_g.isqrt(n))
 
 except ImportError:  # the default backend when the gmpy2 extra is absent
-    import math as _math
     from fractions import Fraction as QQ
 
     def _isqrt(n: int) -> int:
-        return _math.isqrt(n)
+        return math.isqrt(n)
 
 RAT_TYPE = type(QQ(0))
 
@@ -62,6 +62,20 @@ def num(q) -> int:
 
 def den(q) -> int:
     return int(q.denominator)
+
+
+def int_clear(values):
+    """(content, ints) with values == [content * k for k in ints].
+
+    The content is a positive rational (0 when every value is 0) and the
+    integers are primitive, carrying the signs.
+    """
+    lcm = math.lcm(*(den(v) for v in values))
+    ints = [num(v) * (lcm // den(v)) for v in values]
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [k // g for k in ints]
+    return QQ(g, lcm), ints
 
 
 def format_rational(q) -> str:

@@ -78,7 +78,7 @@ def test_criterion_1_quintic_parameter_discriminant():
     quart = 324 * A**4 + 5481 * A**3 - 87771 * A**2 - 409817 * A + 5759315
     got = {}
     for iv in isolate_real_roots(quart):
-        a_hat = refine(iv, quart, 160)
+        a_hat = refine(iv, 160)
         lam = multiple_zero_uni(
             bezout_matrix(UniPoly([3, -1, a_hat, 2, 6, 1], "x")), strict=False
         )

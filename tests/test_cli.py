@@ -350,3 +350,58 @@ def test_sweep_requires_grid(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(ELLIPSE_POINT))
     assert main(["sweep", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("distance", ()),
+    ("poly", ()),
+    ("sweep", ("--grid=-3,3,-3,3,3",)),
+    ("sweep", ("--grid=-3,3,-3,3,3", "--exact")),
+])
+def test_unopenable_out_exit_2(tmp_path, capsys, command, extra):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(ELLIPSE_POINT))
+    out = tmp_path / "missing" / "out.json"
+    code = main([command, "--input", str(path), "--out", str(out), *extra])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error"
+    assert str(out) in err["detail"]
+
+
+def test_unopenable_out_on_degeneracy_exit_2(tmp_path, capsys):
+    problem = dict(ELLIPSE_POINT, quadric={"a": [[-1, 0], [0, -1]], "b": [0, 0], "c": -1})
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    out = tmp_path / "missing" / "out.json"
+    assert main(["distance", "--input", str(path), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["status"] == "error"
+
+
+def test_poly_rejects_uncentered_quadric(tmp_path, capsys):
+    problem = {
+        "kind": "centered-quadric-quadric",
+        "quadric": {"a": [[1, 0], [0, 1]], "b": [1, 0]},
+        "quadric2": {"a": [[4, 0], [0, 4]], "b": [0, 0]},
+    }
+    for command in ("poly", "distance", "intersect"):
+        code, _ = run(tmp_path, command, problem)
+        assert code == 2
+        assert "both quadrics must be centered" in capsys.readouterr().err
+
+
+def test_poly_of_sphere_pair_is_the_distance_f(tmp_path):
+    problem = {
+        "kind": "quadric-quadric",
+        "quadric": {"a": [[1, 0], [0, 1]], "b": [0, 0]},
+        "quadric2": {"a": [[1, 0], [0, 1]], "b": [-4, 0], "c": 15},
+    }
+    code, poly_text = run(tmp_path, "poly", problem)
+    assert code == 0
+    f = json.loads(poly_text)["F"]
+    code, dist_text = run(tmp_path, "distance", problem)
+    assert code == 0
+    rep = json.loads(dist_text)
+    assert f == rep["F"]
+    assert f["degree"] == 4
+    assert [z["value"] for z in rep["positive_zeros"]] == ["4", "16", "36"]

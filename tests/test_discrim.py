@@ -57,7 +57,7 @@ def test_quintic_multiple_zeros_at_special_parameters():
     quart = 324 * A**4 + 5481 * A**3 - 87771 * A**2 - 409817 * A + 5759315
     expected = {}
     for iv in isolate_real_roots(quart):
-        a_hat = refine(iv, quart, 160)
+        a_hat = refine(iv, 160)
         lam = multiple_zero_uni(bezout_matrix(quintic(a_hat)), strict=False)
         expected[round(float(a_hat), 5)] = float(lam)
     assert abs(expected[-24.63939] - (-3.80947138)) < 1e-7

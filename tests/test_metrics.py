@@ -349,7 +349,7 @@ def test_centered_remark_reciprocal_eigenvalue_random():
         q = Quadric(a, VectorQ.zero(n))
         rep = solve_point(q, VectorQ.zero(n))
         p = char_poly(a)
-        eig = max(refine(iv, p, 80) for iv in isolate_real_roots(p))
+        eig = max(refine(iv, 80) for iv in isolate_real_roots(p))
         assert abs(rep.z_star.value - 1 / eig) < QQ(1, 1 << 60)
 
 

@@ -43,7 +43,7 @@ def test_isolate_corrected_quartic_from_axis_problem():
         [61289436065, -1086769525104, 245988221152, -38807307008, 1331935488], "z"
     )
     roots = isolate_real_roots(f)
-    reals = [refine(iv, f, 80) for iv in roots]
+    reals = [refine(iv, 80) for iv in roots]
     assert len(reals) == 2
     assert_printed(reals[0], "0.05712805")
     assert_printed(reals[1], "22.54560673")
@@ -74,8 +74,8 @@ def test_min_positive_zero_none_raises():
 
 def test_refine_rational_root_is_exact():
     iv = isolate_real_roots(3 * Z - 1)[0]
-    assert refine(iv, 3 * Z - 1, 10) == QQ(1, 3)
-    assert refine(iv, 3 * Z - 1, 200) == QQ(1, 3)
+    assert refine(iv, 10) == QQ(1, 3)
+    assert refine(iv, 200) == QQ(1, 3)
 
 
 def test_refine_smallest_zero_of_reference_sextic():
@@ -85,13 +85,13 @@ def test_refine_smallest_zero_of_reference_sextic():
         "z",
     )
     iv = isolate_real_roots(f)[0]
-    assert_printed(refine(iv, f, 128), "0.053945666")
+    assert_printed(refine(iv, 128), "0.053945666")
 
 
 def test_refine_sqrt2():
     f = Z**2 - 2
     iv = [i for i in isolate_real_roots(f) if i.lo >= 0 or i.hi > 0][-1]
-    v = refine(iv, f, 64)
+    v = refine(iv, 64)
     assert decimal_str(v, 18).startswith("1.4142135623730950")
 
 
@@ -102,9 +102,9 @@ def test_refine_monotone_in_bits():
         for iv in isolate_real_roots(p):
             if iv.exact:
                 continue
-            v1 = refine(iv, p, 16)
-            v2 = refine(iv, p, 32)
-            v3 = refine(iv, p, 64)
+            v1 = refine(iv, 16)
+            v2 = refine(iv, 32)
+            v3 = refine(iv, 64)
             assert abs(v2 - v1) <= QQ(1, 1 << 15)
             assert abs(v3 - v2) <= QQ(1, 1 << 31)
 
@@ -188,7 +188,7 @@ def test_isolation_invariants_on_seeded_products():
         # a zero-width interval is a rational root; every rational root is
         # found exactly, at isolation or by refine, with its multiplicity
         assert all(iv.lo in rational for iv in roots if iv.exact)
-        found = {refine(iv, p, 128): iv.multiplicity for iv in roots}
+        found = {refine(iv, 128): iv.multiplicity for iv in roots}
         assert {r: k for r, k in found.items() if r in rational} == rational
         for iv in roots:
             assert not iv.lo < 0 < iv.hi
@@ -209,7 +209,7 @@ def test_carve_around_root_at_midpoint(monkeypatch):
     roots = isolate_real_roots(p)
     assert carved
     assert [(iv.lo, iv.hi) for iv in roots] == [(QQ(1), QQ(9, 2)), (QQ(8), QQ(8))]
-    assert refine(roots[0], p, 64) == QQ(3, 2)
+    assert refine(roots[0], 64) == QQ(3, 2)
 
 
 # sha256 of every root of 200 seeded products refined at 16, 64 and 128 bits,
@@ -225,7 +225,7 @@ def test_refined_roots_pin():
         p = _seeded_product(rng)[0]
         for iv in isolate_real_roots(p):
             for bits in (16, 64, 128):
-                digest.update(f"{i}:{bits}:{format_rational(refine(iv, p, bits))};".encode())
+                digest.update(f"{i}:{bits}:{format_rational(refine(iv, bits))};".encode())
     assert digest.hexdigest() == REFINED_ROOTS_SHA256
 
 
@@ -271,4 +271,26 @@ def test_rational_roots_detected_exactly(num, den, extra):
     assert len(roots) == 1
     assert roots[0].multiplicity == 1
     # refinement recognizes the rational root exactly (zero-width bracket)
-    assert refine(roots[0], p, 64) == r
+    assert refine(roots[0], 64) == r
+
+
+def test_refine_computes_no_squarefree_part(monkeypatch):
+    # isolation hands each interval its square-free part; refinement reuses it
+    from qdist import poly
+
+    p = (Z**2 - 2) * (Z - QQ(1, 3)) ** 2 * Z * (Z**3 - Z - 1)
+    roots = isolate_real_roots(p)
+
+    def forbidden(*args):
+        raise AssertionError("square-free part recomputed")
+
+    for module, name in ((realroots, "squarefree_part"), (realroots, "squarefree_decomposition"),
+                         (poly, "poly_gcd"), (poly, "gcd_squarefree")):
+        monkeypatch.setattr(module, name, forbidden)
+    values = [refine(iv, 64) for iv in roots]
+    assert values[1:3] == [0, QQ(1, 3)]
+    assert [iv.multiplicity for iv in roots] == [1, 1, 2, 1, 1]
+    narrow = [realroots.refine_interval(iv, 96) for iv in roots]
+    assert all(iv.width <= QQ(1, 1 << 96) for iv in narrow)
+    assert [realroots.refine_interval(iv, 128).lo for iv in narrow[1:3]] == [0, QQ(1, 3)]
+    assert narrow[4].poly is roots[4].poly
