@@ -20,17 +20,13 @@ from .linalg import (
 from .metrics import (
     DistanceReport,
     LinearVariety,
-    PointQuadricProblem,
     Quadric,
-    QuadricPairProblem,
-    VarietyQuadricProblem,
     centered_distance_poly,
     centered_intersects,
     general_distance_poly,
     general_intersects,
     normalize,
     point_distance_poly,
-    solve,
     solve_centered,
     solve_general,
     solve_point,

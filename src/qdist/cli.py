@@ -19,31 +19,44 @@ from .metrics import (
     DistanceReport,
     LinearVariety,
     Quadric,
-    centered_intersects,
-    general_intersects,
+    centered_pairing,
+    general_pairing,
     normalize,
+    point_pairing,
     point_pencil,
     solve_centered,
     solve_general,
     solve_point,
     solve_variety,
     trailing_z_power,
-    variety_intersects,
+    variety_pairing,
 )
 from .discrim import discriminant_param, discriminant_uni
 from .parametric import QuadricFamily, family_distance_poly, family_solve
 from .poly import UniPoly
 from .scalar import QQ, decimal_str, format_rational, rational
 
-# the top-level fields each kind reads, besides "kind" and "options"
-FIELDS = {
-    "point-quadric": ("quadric", "point"),
-    "variety-quadric": ("quadric", "variety"),
-    "quadric-quadric": ("quadric", "quadric2"),
-    "centered-quadric-quadric": ("quadric", "quadric2"),
-    "family-point": ("family", "point"),
+# kind -> (the fields it reads, its certificate step, its solver). Both take
+# the fields in this order, the solver then the precision. The step validates
+# the input and returns the metrics.Pairing whose certificate and F(z) the
+# solver uses; families have none, so intersect does not apply to them.
+# Solvers are looked up by name when called, so a patched one takes effect.
+PAIRINGS = {
+    "point-quadric": (
+        ("quadric", "point"), point_pairing, lambda *a: solve_point(*a)
+    ),
+    "variety-quadric": (
+        ("quadric", "variety"), variety_pairing, lambda *a: solve_variety(*a)
+    ),
+    "quadric-quadric": (
+        ("quadric", "quadric2"), general_pairing, lambda *a: solve_general(*a)
+    ),
+    "centered-quadric-quadric": (
+        ("quadric", "quadric2"), centered_pairing, lambda *a: solve_centered(*a)
+    ),
+    "family-point": (("family", "point"), None, lambda *a: family_solve(*a)),
 }
-KINDS = tuple(FIELDS)
+KINDS = tuple(PAIRINGS)
 
 
 def _valid_bits(value) -> int:
@@ -63,7 +76,8 @@ class ProblemFile:
         self.kind = data.get("kind")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        _check_keys(data, ("kind", "options") + FIELDS[self.kind], "the problem")
+        fields = PAIRINGS[self.kind][0]
+        _check_keys(data, ("kind", "options") + fields, "the problem")
         options = data.get("options", {})
         if not isinstance(options, dict):
             raise ValueError("options must be a JSON object")
@@ -72,23 +86,8 @@ class ProblemFile:
         self.exact = options.get("exact", False)
         if not isinstance(self.exact, bool):
             raise ValueError("exact must be true or false")
-        self.quadric = None
-        self.quadric2 = None
-        self.point = None
-        self.variety = None
-        self.family = None
-        if self.kind in ("point-quadric", "variety-quadric", "quadric-quadric",
-                        "centered-quadric-quadric"):
-            self.quadric = _parse_quadric(_require(data, "quadric"))
-        if self.kind in ("quadric-quadric", "centered-quadric-quadric"):
-            self.quadric2 = _parse_quadric(_require(data, "quadric2"))
-        if self.kind == "point-quadric":
-            self.point = _parse_vector(_require(data, "point"))
-        if self.kind == "variety-quadric":
-            self.variety = _parse_variety(_require(data, "variety"))
-        if self.kind == "family-point":
-            self.family = _parse_family(_require(data, "family"))
-            self.point = _parse_vector(_require(data, "point"))
+        for name, parse in PARSERS.items():
+            setattr(self, name, parse(_require(data, name)) if name in fields else None)
         _check_dimensions(self)
 
 
@@ -161,6 +160,16 @@ def _parse_family(data) -> QuadricFamily:
             raise ValueError("family interval must be a list [lo, hi]")
         interval = (_rat(interval[0]), _rat(interval[1]))
     return QuadricFamily(a, b, c, interval)
+
+
+# every field a kind can read, in the order they are parsed
+PARSERS = {
+    "quadric": _parse_quadric,
+    "quadric2": _parse_quadric,
+    "family": _parse_family,
+    "point": _parse_vector,
+    "variety": _parse_variety,
+}
 
 
 def _check_dimensions(p: ProblemFile):
@@ -275,78 +284,43 @@ def report_json(rep: DistanceReport, exact_mode=False):
 # ---------------------------------------------------------------------------
 
 
-def _solve_problem(p: ProblemFile) -> DistanceReport:
-    if p.kind == "point-quadric":
-        return solve_point(p.quadric, p.point, p.bits)
-    if p.kind == "variety-quadric":
-        return solve_variety(p.quadric, p.variety, p.bits)
-    if p.kind == "quadric-quadric":
-        return solve_general(p.quadric, p.quadric2, p.bits)
-    if p.kind == "centered-quadric-quadric":
-        return solve_centered(p.quadric, p.quadric2, p.bits)
-    return family_solve(p.family, p.point, p.bits)
+def _operands(p: ProblemFile):
+    return [getattr(p, name) for name in PAIRINGS[p.kind][0]]
 
 
 def cmd_distance(p: ProblemFile):
-    return report_json(_solve_problem(p), p.exact)
+    return report_json(PAIRINGS[p.kind][2](*_operands(p), p.bits), p.exact)
 
 
 def cmd_family(p: ProblemFile):
     if p.kind != "family-point":
         raise ValueError("family command requires kind family-point")
-    return report_json(family_solve(p.family, p.point, p.bits), p.exact)
+    return cmd_distance(p)
 
 
 def cmd_intersect(p: ProblemFile):
-    if p.kind == "point-quadric":
-        side = p.quadric.residual_at(p.point)
-        inter, cert = not side, {"point_residual": side}
-    elif p.kind == "variety-quadric":
-        inter, det = variety_intersects(p.quadric, p.variety)
-        cert = {"bordered_determinant": det}
-    elif p.kind == "centered-quadric-quadric":
-        inter, cls = centered_intersects(p.quadric, p.quadric2)
-        cert = {"difference_definiteness": cls}
-    elif p.kind == "quadric-quadric" and p.quadric == p.quadric2:
-        inter, cert = True, {"identical": True}
-    elif p.kind == "quadric-quadric":
-        inter, summary, phi = general_intersects(p.quadric, p.quadric2)
-        cert = {"root_sign_summary": summary, "phi": phi}
-    else:
+    step = PAIRINGS[p.kind][1]
+    if step is None:
         raise ValueError("intersect does not apply to family problems")
+    report = step(*_operands(p)).report
     return {
         "status": "ok",
-        "intersecting": inter,
-        "certificate": _certificate_json(cert),
+        "intersecting": report.intersecting,
+        "certificate": _certificate_json(report.certificate),
     }
 
 
 def cmd_poly(p: ProblemFile):
-    from .metrics import (
-        centered_distance_poly,
-        general_distance_poly,
-        point_distance_poly,
-        variety_distance_poly,
-    )
-
-    if p.kind == "point-quadric":
-        f = point_distance_poly(p.quadric, p.point)
-    elif p.kind == "variety-quadric":
-        f = variety_distance_poly(p.quadric, p.variety)
-    elif p.kind == "centered-quadric-quadric":
-        f = centered_distance_poly(p.quadric, p.quadric2)
-    elif p.kind == "quadric-quadric":
-        f = general_distance_poly(p.quadric, p.quadric2)
-    else:
+    step = PAIRINGS[p.kind][1]
+    if step is None:
+        # a family has no single F: its iterated and endpoint polynomials
         big_f, fa, fb = family_distance_poly(p.family, p.point)
         out = {"status": "ok"}
-        if big_f is not None:
-            out["F_iterated"] = _poly_json(big_f)
-        if fa is not None:
-            out["F_at_a"] = _poly_json(fa)
-        if fb is not None:
-            out["F_at_b"] = _poly_json(fb)
+        for key, f in (("F_iterated", big_f), ("F_at_a", fa), ("F_at_b", fb)):
+            if f is not None:
+                out[key] = _poly_json(f)
         return out
+    f = step(*_operands(p)).distance_poly()
     return {
         "status": "ok",
         "F": _poly_json(f),

@@ -10,6 +10,7 @@ rationally from the pencil's multiple zero.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .discrim import (
@@ -585,14 +586,8 @@ def general_distance_poly_full(q1: Quadric, q2: Quadric):
 
 
 def general_distance_poly(q1: Quadric, q2: Quadric) -> UniPoly:
-    """F(z) for two quadrics in general position, via the bivariate discriminant.
-
-    Sphere pairs take the coaxial F, as ``solve_general`` does.
-    """
-    if _sphere_data(q1) is not None and _sphere_data(q2) is not None:
-        return sphere_distance_poly(q1, q2)
-    f, _ = general_distance_poly_full(q1, q2)
-    return f
+    """F(z) for two quadrics, built on the route ``solve_general`` takes."""
+    return general_pairing(q1, q2).distance_poly()
 
 
 def trailing_z_power(f: UniPoly) -> int:
@@ -747,22 +742,22 @@ def general_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128):
 
 
 @dataclass
-class PointQuadricProblem:
-    quadric: Quadric
-    point: VectorQ
+class Pairing:
+    """A validated pair of surfaces and the steps that solving it shares.
 
+    ``report`` holds the intersection certificate, ``distance_poly()`` builds
+    F(z), and ``recover(z_hat, bits)`` returns nearest points (X, Y, info) at
+    a zero of F, which are checked against ``first`` and ``other``. When the
+    pair has a ``centre`` of symmetry, the mirror image of each nearest pair
+    through it is a nearest pair too.
+    """
 
-@dataclass
-class VarietyQuadricProblem:
-    quadric: Quadric
-    variety: LinearVariety
-
-
-@dataclass
-class QuadricPairProblem:
+    report: DistanceReport
+    distance_poly: Callable[[], UniPoly]
+    recover: Callable
     first: Quadric
-    second: Quadric
-    centered: bool = False
+    other: object
+    centre: VectorQ | None = None
 
 
 def _positive_roots_info(f: UniPoly, bits: int):
@@ -804,29 +799,28 @@ def _residuals_pass(residuals, bits):
     return all(v <= tol for r in residuals for v in r.values())
 
 
-def _solve_pipeline(
-    report, bits, distance_poly, recover, first, other, symmetric_pairs=False
-):
+def _solve_pipeline(pairing: Pairing, bits) -> DistanceReport:
     """The steps every pairing shares once its certificate is in the report.
 
     Intersecting surfaces stop at d = 0. Otherwise ``distance_poly()`` builds
     F(z), its positive zeros are refined, and the squared distance is the
-    first of them whose ``recover(z)`` nearest points validate.
+    first of them whose ``recover`` nearest points validate.
     """
+    report = pairing.report
     if report.intersecting:
         report.d = QQ(0)
         report.d_error = QQ(0)
         return report
-    f = distance_poly()
+    f = pairing.distance_poly()
     report.fz = f
     report.extraneous_z_power = trailing_z_power(f)
     report.positive_zeros = _positive_roots_info(f, bits)
     if not report.positive_zeros:
         raise NoPositiveRootError()
-    return _finish_with_recovery(report, bits, recover, first, other, symmetric_pairs)
+    return _finish_with_recovery(pairing, bits)
 
 
-def solve_variety(e: Quadric, v: LinearVariety, bits: int = 128) -> DistanceReport:
+def variety_pairing(e: Quadric, v: LinearVariety) -> Pairing:
     check_real_ellipsoid(e)
     if e.dim != v.dim:
         raise ValueError("quadric and variety dimensions differ")
@@ -836,17 +830,20 @@ def solve_variety(e: Quadric, v: LinearVariety, bits: int = 128) -> DistanceRepo
         intersecting=inter,
         certificate={"bordered_determinant": cert},
     )
-    return _solve_pipeline(
+    return Pairing(
         report,
-        bits,
-        distance_poly=lambda: variety_distance_poly(e, v),
-        recover=lambda z_hat: variety_nearest_points(e, v, z_hat, bits),
+        lambda: variety_distance_poly(e, v),
+        lambda z_hat, bits: variety_nearest_points(e, v, z_hat, bits),
         first=e,
         other=v,
     )
 
 
-def solve_point(e: Quadric, x0: VectorQ, bits: int = 128) -> DistanceReport:
+def solve_variety(e: Quadric, v: LinearVariety, bits: int = 128) -> DistanceReport:
+    return _solve_pipeline(variety_pairing(e, v), bits)
+
+
+def point_pairing(e: Quadric, x0: VectorQ) -> Pairing:
     check_real_ellipsoid(e)
     if e.dim != x0.dim:
         raise ValueError("point dimension mismatch")
@@ -857,17 +854,20 @@ def solve_point(e: Quadric, x0: VectorQ, bits: int = 128) -> DistanceReport:
         certificate={"point_residual": side},
     )
     variety = LinearVariety(MatrixQ.identity(e.dim), x0)
-    return _solve_pipeline(
+    return Pairing(
         report,
-        bits,
-        distance_poly=lambda: point_distance_poly(e, x0),
-        recover=lambda z_hat: variety_nearest_points(e, variety, z_hat, bits),
+        lambda: point_distance_poly(e, x0),
+        lambda z_hat, bits: variety_nearest_points(e, variety, z_hat, bits),
         first=e,
         other=variety,
     )
 
 
-def solve_centered(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:
+def solve_point(e: Quadric, x0: VectorQ, bits: int = 128) -> DistanceReport:
+    return _solve_pipeline(point_pairing(e, x0), bits)
+
+
+def centered_pairing(q1: Quadric, q2: Quadric) -> Pairing:
     if q1.dim != q2.dim:
         raise ValueError("dimension mismatch")
     inter, cls = centered_intersects(q1, q2)
@@ -876,15 +876,18 @@ def solve_centered(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:
         intersecting=inter,
         certificate={"difference_definiteness": cls},
     )
-    return _solve_pipeline(
+    return Pairing(
         report,
-        bits,
-        distance_poly=lambda: centered_distance_poly(q1, q2),
-        recover=lambda z_hat: centered_nearest_points(q1, q2, z_hat, bits),
+        lambda: centered_distance_poly(q1, q2),
+        lambda z_hat, bits: centered_nearest_points(q1, q2, z_hat, bits),
         first=q1,
         other=q2,
-        symmetric_pairs=True,
+        centre=VectorQ.zero(q1.dim),
     )
+
+
+def solve_centered(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:
+    return _solve_pipeline(centered_pairing(q1, q2), bits)
 
 
 def _is_scalar_matrix(m: MatrixQ):
@@ -928,12 +931,13 @@ def sphere_distance_poly(q1: Quadric, q2: Quadric) -> UniPoly:
     return _finalize_distance_poly(f)
 
 
-def _solve_sphere_sphere(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport:
-    """Two spheres, solved by the coaxial reduction of ``sphere_distance_poly``."""
+def _sphere_pairing(q1: Quadric, q2: Quadric) -> Pairing:
+    """Two spheres, solved by the coaxial reduction of ``sphere_distance_poly``.
+
+    ``general_pairing`` has checked both surfaces, so both radii are real.
+    """
     (c1, r1sq) = _sphere_data(q1)
     (c2, r2sq) = _sphere_data(q2)
-    if r1sq <= 0 or r2sq <= 0:
-        raise DegeneracyError("empty-surface", "sphere has no real points")
     delta = c1 - c2
     d2 = delta.norm2()
     t = d2 - r1sq - r2sq
@@ -945,7 +949,7 @@ def _solve_sphere_sphere(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport:
     )
     report.warnings.append("sphere pair solved by the coaxial reduction")
 
-    def recover(z_hat):
+    def recover(z_hat, bits):
         if not d2:
             raise DegeneracyError(
                 "singular-multiplier-system", "concentric spheres: no unique pair"
@@ -964,26 +968,62 @@ def _solve_sphere_sphere(q1: Quadric, q2: Quadric, bits: int) -> DistanceReport:
                     best = (gap, x, y)
         return best[1], best[2], {"direction": tuple(unit)}
 
-    return _solve_pipeline(
-        report, bits, lambda: sphere_distance_poly(q1, q2), recover, first=q1, other=q2
-    )
+    return Pairing(report, lambda: sphere_distance_poly(q1, q2), recover, q1, q2)
 
 
-def solve_general(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:
+def _common_centre_pairing(q1: Quadric, q2: Quadric):
+    """The centred pairing of two quadrics moved to their common centre.
+
+    Quadrics with nonsingular A share the centre -A^-1 B when A1^-1 B1 =
+    A2^-1 B2. Moved there, each is X^T A X - (1 + B^T A^-1 B) = 0. The
+    nearest points move back, and are checked against the quadrics as given.
+    None when the centres differ, or when the second surface is a cone
+    through its centre (constant 0), which has no normalized translate. The
+    first surface is a nonempty ellipsoid, so A1 is nonsingular and its
+    constant is nonzero.
+    """
+    if not determinant(q2.a):
+        return None
+    shift = solve_linear(q1.a, q1.b)
+    if shift != solve_linear(q2.a, q2.b):
+        return None
+    zero = VectorQ.zero(q1.dim)
+    k1, k2 = 1 + q1.b.dot(shift), 1 + q2.b.dot(shift)
+    if not k2:
+        return None
+    inner = centered_pairing(normalize(q1.a, zero, -k1), normalize(q2.a, zero, -k2))
+    inner.report.kind = "quadric-quadric"
+    inner.report.warnings.append("common-centre pair solved as a centred pair")
+    centre = -shift
+
+    def recover(z_hat, bits):
+        x, y, info = inner.recover(z_hat, bits)
+        return x + centre, y + centre, info
+
+    return Pairing(inner.report, inner.distance_poly, recover, q1, q2, centre)
+
+
+def general_pairing(q1: Quadric, q2: Quadric) -> Pairing:
+    """Validate two quadrics and certify them by the route that solves them.
+
+    Identical surfaces intersect; sphere pairs take the coaxial reduction and
+    pairs with a common centre the centred one. Every other pair takes the
+    sign pencil and the bivariate discriminant.
+    """
     if q1.dim != q2.dim:
         raise ValueError("dimension mismatch")
     check_real_ellipsoid(q1)
     _check_nonempty(q2, definiteness(q2.a), "second surface")
     if q1 == q2:
-        return DistanceReport(
-            kind="quadric-quadric",
-            intersecting=True,
-            certificate={"identical": True},
-            d=QQ(0),
-            d_error=QQ(0),
+        report = DistanceReport(
+            kind="quadric-quadric", intersecting=True, certificate={"identical": True}
         )
+        return Pairing(report, lambda: general_distance_poly_full(q1, q2)[0], None, q1, q2)
     if _sphere_data(q1) is not None and _sphere_data(q2) is not None:
-        return _solve_sphere_sphere(q1, q2, bits)
+        return _sphere_pairing(q1, q2)
+    centred = _common_centre_pairing(q1, q2)
+    if centred is not None:
+        return centred
     inter, summary, phi = general_intersects(q1, q2)
     report = DistanceReport(
         kind="quadric-quadric",
@@ -1004,17 +1044,20 @@ def solve_general(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:
             report.certificate["extraneous_square"] = square
         return f
 
-    return _solve_pipeline(
+    return Pairing(
         report,
-        bits,
         distance_poly,
-        recover=lambda z_hat: general_nearest_points(q1, q2, z_hat, bits),
+        lambda z_hat, bits: general_nearest_points(q1, q2, z_hat, bits),
         first=q1,
         other=q2,
     )
 
 
-def _finish_with_recovery(report, bits, recover, first, other, symmetric_pairs):
+def solve_general(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:
+    return _solve_pipeline(general_pairing(q1, q2), bits)
+
+
+def _finish_with_recovery(pairing: Pairing, bits):
     """Select the squared distance among the positive zeros, ascending.
 
     Each candidate must support nearest-point recovery with real points whose
@@ -1023,16 +1066,20 @@ def _finish_with_recovery(report, bits, recover, first, other, symmetric_pairs):
     skipped with a note; a multiple minimal zero is never skipped silently:
     it stays the headline value with the first validated zero alongside.
     """
+    report = pairing.report
     z0 = report.positive_zeros[0]
     chosen = None
     skipped = []
     for cand in report.positive_zeros:
         try:
-            x, y, info = recover(cand.value)
+            x, y, info = pairing.recover(cand.value, bits)
             pairs = [(x, y)]
-            if symmetric_pairs:
-                pairs.append((-x, -y))
-            residuals = _geometric_residuals(pairs, first, other, cand.value)
+            if pairing.centre is not None:
+                twice = pairing.centre.scale(2)
+                pairs.append((twice - x, twice - y))
+            residuals = _geometric_residuals(
+                pairs, pairing.first, pairing.other, cand.value
+            )
             if not _residuals_pass(residuals, bits):
                 raise DegeneracyError(
                     "recovery-residuals", "nearest-point residuals exceed tolerance"
@@ -1079,16 +1126,3 @@ def _finish_with_recovery(report, bits, recover, first, other, symmetric_pairs):
             )
     _distance_fields(report, headline, bits)
     return report
-
-
-def solve(problem, bits: int = 128) -> DistanceReport:
-    """Dispatch on the problem pairing and produce a full report."""
-    if isinstance(problem, PointQuadricProblem):
-        return solve_point(problem.quadric, problem.point, bits)
-    if isinstance(problem, VarietyQuadricProblem):
-        return solve_variety(problem.quadric, problem.variety, bits)
-    if isinstance(problem, QuadricPairProblem):
-        if problem.centered:
-            return solve_centered(problem.first, problem.second, bits)
-        return solve_general(problem.first, problem.second, bits)
-    raise TypeError(f"unknown problem type {type(problem)!r}")

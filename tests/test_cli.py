@@ -405,3 +405,45 @@ def test_poly_of_sphere_pair_is_the_distance_f(tmp_path):
     assert f == rep["F"]
     assert f["degree"] == 4
     assert [z["value"] for z in rep["positive_zeros"]] == ["4", "16", "36"]
+
+
+def _pair(a1, b1, a2, b2, c2=-1, kind="quadric-quadric"):
+    return {
+        "kind": kind,
+        "quadric": {"a": a1, "b": b1},
+        "quadric2": {"a": a2, "b": b2, "c": c2},
+    }
+
+
+@pytest.mark.parametrize("problem", [
+    AXIS_PROBLEM,
+    ELLIPSE_POINT,
+    _pair([[10, -6], [-6, 8]], [0, 0], [[1, "1/2"], ["1/2", 1]], [0, 0],
+          kind="centered-quadric-quadric"),
+    _pair([[1, 0], [0, 1]], [0, 0], [["1/9", 0], [0, "1/9"]], [0, 0]),
+    _pair([[1, 0], [0, 1]], [0, 0], [[1, 0], [0, 1]], [-4, 0], 15),
+    dict(ELLIPSE_POINT, quadric={"a": [[1, 0], [0, -1]], "b": [0, 0]}),
+    {
+        "kind": "variety-quadric",
+        "quadric": {"a": [[-1, 0], [0, -1]], "b": [0, 0]},
+        "variety": {"columns": [[1, 0]], "offset": [3]},
+    },
+    _pair([[1, 0], [0, 2]], [0, 0], [["1/9", 0], [0, "1/16"]], [0, 0]),
+], ids=["axis", "ellipse-point", "centred", "concentric-spheres", "sphere-pair",
+        "hyperbola-point", "empty-variety", "concentric-ellipses"])
+def test_commands_agree(tmp_path, problem):
+    # distance, intersect and poly validate, certify and build F alike
+    results = {}
+    for command in ("distance", "intersect", "poly"):
+        code, text = run(tmp_path, command, problem)
+        results[command] = code, json.loads(text)
+    codes = {code for code, _ in results.values()}
+    reasons = {out.get("reason") for _, out in results.values()}
+    assert len(codes) == 1 and len(reasons) == 1
+    distance, intersect, poly = (out for _, out in results.values())
+    if "reason" in distance:
+        return
+    assert intersect["intersecting"] == distance["intersecting"]
+    assert intersect["certificate"] == distance["certificate"]
+    if "F" in distance:
+        assert poly["F"] == distance["F"]

@@ -21,10 +21,7 @@ from qdist.linalg import (
 )
 from qdist.metrics import (
     LinearVariety,
-    PointQuadricProblem,
     Quadric,
-    QuadricPairProblem,
-    VarietyQuadricProblem,
     _general_raw,
     centered_distance_poly,
     centered_intersects,
@@ -36,7 +33,6 @@ from qdist.metrics import (
     normalize,
     point_distance_poly,
     point_pencil,
-    solve,
     solve_centered,
     solve_general,
     solve_point,
@@ -182,15 +178,12 @@ def test_general_intersects_multiple_phi_zero(q1, q2, intersecting, summary):
 @pytest.mark.parametrize(
     "q1, q2, code",
     [
+        (diag_ellipse([1, 2], [0, 0]), diag_ellipse([QQ(1, 9), QQ(1, 16)], [0, 0]), None),
+        (diag_ellipse([1, 2], [1, 1]), diag_ellipse([QQ(1, 9), QQ(1, 16)], [1, 1]), None),
         (
-            diag_ellipse([1, 2], [0, 0]),
-            diag_ellipse([QQ(1, 9), QQ(1, 16)], [0, 0]),
-            "degenerate-critical-system",
-        ),
-        (
-            diag_ellipse([1, 2], [1, 1]),
-            diag_ellipse([QQ(1, 9), QQ(1, 16)], [1, 1]),
-            "degenerate-critical-system",
+            diag_ellipse([1, 2], [QQ(1, 2), QQ(-3, 7)]),
+            diag_ellipse([QQ(1, 9), QQ(1, 16)], [QQ(1, 2), QQ(-3, 7)]),
+            None,
         ),
         (
             diag_ellipse([1, 2, 2], [0, 0, 0]),
@@ -198,12 +191,45 @@ def test_general_intersects_multiple_phi_zero(q1, q2, intersecting, summary):
             "identically-zero-pencil",
         ),
     ],
-    ids=["concentric-at-origin", "concentric-at-1-1", "coaxial-revolution"],
+    ids=["concentric-at-origin", "concentric-at-1-1", "concentric-off-grid",
+         "coaxial-revolution"],
 )
 def test_solve_general_symmetric_pair_is_classified(q1, q2, code):
-    with pytest.raises(DegeneracyError) as exc:
-        solve_general(q1, q2)
-    assert exc.value.code == code
+    # a pair with a common centre is solved as a centred pair moved there;
+    # surfaces of revolution about one axis still degenerate the sign pencil
+    if code is not None:
+        with pytest.raises(DegeneracyError) as exc:
+            solve_general(q1, q2)
+        assert exc.value.code == code
+        return
+    rep = solve_general(q1, q2)
+    assert rep.kind == "quadric-quadric" and rep.intersecting is False
+    assert "common-centre pair solved as a centred pair" in rep.warnings
+    assert rep.d == 2
+    # the semi-axes 1 and 3 along x: (c +- (1, 0), c +- (3, 0))
+    c = -(inverse(q1.a) * q1.b)
+    pairs = {(tuple(p.x), tuple(p.y)) for p in rep.nearest_pairs}
+    assert pairs == {
+        ((c[0] + s, c[1]), (c[0] + 3 * s, c[1])) for s in (1, -1)
+    }
+    for p in rep.nearest_pairs:
+        assert q1.residual_at(VectorQ(p.x)) == 0 and q2.residual_at(VectorQ(p.y)) == 0
+
+
+def test_common_centre_pairs_match_the_centred_solver():
+    # seeded centred ellipse pairs, given as general pairs at the origin and
+    # at a common centre, get the centred solver's verdict and distance
+    rng = random.Random(8)  # 3 separated pairs and 3 intersecting ones
+    for _ in range(6):
+        a1 = rand_pd_matrix(rng, 2)
+        a2 = rand_pd_matrix(rng, 2).scale(QQ(1, rng.randint(1, 40)))
+        centred = solve_centered(Quadric(a1, VectorQ.zero(2)), Quadric(a2, VectorQ.zero(2)))
+        centre = VectorQ([rand_rat(rng), rand_rat(rng)])
+        for c in (VectorQ.zero(2), centre):
+            rep = solve_general(ellipsoid_at(a1, c), ellipsoid_at(a2, c))
+            assert rep.intersecting == centred.intersecting
+            assert rep.d == centred.d and rep.d_error == centred.d_error
+            assert len(rep.nearest_pairs) == len(centred.nearest_pairs)
 
 
 # -- distance polynomials -----------------------------------------------------
@@ -429,17 +455,6 @@ def test_solve_general_identical_pair():
     e = ellipsoid_at(MatrixQ([[3, 1], [1, 2]]), VectorQ([1, 2]))
     rep = solve_general(e, e)
     assert rep.intersecting and rep.d == 0
-
-
-def test_solve_dispatch():
-    rep = solve(PointQuadricProblem(ellipse_2_1(), VectorQ([3, 0])))
-    assert rep.d == 1
-    rep = solve(
-        VarietyQuadricProblem(circle_at(3, 0), LinearVariety(MatrixQ.from_columns([[1, 0]])))
-    )
-    assert rep.d == 2
-    rep = solve(QuadricPairProblem(unit_circle(), circle_at(4, 0)))
-    assert rep.d == 2
 
 
 def test_solve_general_symmetry():
