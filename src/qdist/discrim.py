@@ -350,20 +350,32 @@ def discriminant_param(pp: ParamPoly, degree_bound=None) -> UniPoly:
     Returns the exact polynomial in the parameter (unnormalized; callers
     usually take the primitive part). Nodes where the leading coefficient
     vanishes are skipped so every evaluation sees the generic degree.
+
+    pp is cleared once to content * integer coefficients, so each node is an
+    integer Horner evaluation and an integer discriminant. The discriminant
+    of content * g is content^(2n - 1) times that of g, for main degree n.
     """
     n = pp.degree
     if n < 2:
         raise ValueError("main degree must be at least 2")
-    lead = pp.coeffs[-1]
     dz = max(pp.param_degree, 0)
     bound = degree_bound if degree_bound is not None else 2 * n * max(dz, 1)
+    content, flat = int_clear([x for c in pp.coeffs for x in c.coeffs])
+    ints = iter(flat)
+    rows = [[next(ints) for _ in c.coeffs][::-1] for c in pp.coeffs]  # descending
 
     def compute(t):
-        if not lead.eval(t):
+        values = []
+        for row in rows:
+            acc = 0
+            for c in row:
+                acc = acc * t + c
+            values.append(acc)
+        if not values[-1]:
             return None
-        return discriminant_uni(pp.eval_param(t))
+        return discriminant_uni(UniPoly(values, pp.main_var))
 
-    return interpolate_verified(compute, bound, pp.param_var)
+    return interpolate_verified(compute, bound, pp.param_var) * content ** (2 * n - 1)
 
 
 def discriminant_biv_param(

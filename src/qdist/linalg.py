@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import SingularMatrixError
-from .poly import UniPoly, interpolate, rational_nodes
+from .poly import UniPoly, integer_nodes, interpolate
 from .scalar import QQ, RAT_TYPE, is_rational, rational
 
 
@@ -462,8 +462,8 @@ def definiteness(m: MatrixQ) -> str:
 
 
 def _node_points(f, degree: int):
-    """(t, f(t)) at the first degree + 1 rational nodes; exact bounds need no check."""
-    return [(t, f(t)) for t in islice(rational_nodes(), degree + 1)]
+    """(t, f(t)) at the first degree + 1 integer nodes; exact bounds need no check."""
+    return [(t, f(t)) for t in islice(integer_nodes(), degree + 1)]
 
 
 def det_unipoly_matrix(entries, var="x") -> UniPoly:

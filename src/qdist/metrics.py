@@ -484,7 +484,9 @@ def variety_distance_poly(e: Quadric, v: LinearVariety) -> UniPoly:
 def point_distance_poly(e: Quadric, x0: VectorQ) -> UniPoly:
     """F(z) for the distance from a point to the quadric."""
     if not e.residual_at(x0):
-        raise ValueError("point lies on the quadric")
+        raise DegeneracyError(
+            "point-on-surface", "the point lies on the quadric, so d = 0 and there is no F(z)"
+        )
     pencil = point_pencil(e, x0)
     n = e.dim
     return _finalize_distance_poly(
@@ -1003,6 +1005,12 @@ def _common_centre_pairing(q1: Quadric, q2: Quadric):
     return Pairing(inner.report, inner.distance_poly, recover, q1, q2, centre)
 
 
+def _identical_distance_poly():
+    raise DegeneracyError(
+        "identical-surfaces", "identical surfaces meet everywhere and have no distance polynomial"
+    )
+
+
 def general_pairing(q1: Quadric, q2: Quadric) -> Pairing:
     """Validate two quadrics and certify them by the route that solves them.
 
@@ -1018,7 +1026,7 @@ def general_pairing(q1: Quadric, q2: Quadric) -> Pairing:
         report = DistanceReport(
             kind="quadric-quadric", intersecting=True, certificate={"identical": True}
         )
-        return Pairing(report, lambda: general_distance_poly_full(q1, q2)[0], None, q1, q2)
+        return Pairing(report, _identical_distance_poly, None, q1, q2)
     if _sphere_data(q1) is not None and _sphere_data(q2) is not None:
         return _sphere_pairing(q1, q2)
     centred = _common_centre_pairing(q1, q2)

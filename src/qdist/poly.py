@@ -8,12 +8,21 @@ through division and determinant computations.
 ParamPoly is a polynomial in a main variable whose coefficients are
 themselves univariate polynomials in a second (parameter) variable.
 BiPoly is a dense bivariate polynomial on a coefficient grid.
+
+The exact kernels work on primitive integer coefficient lists and return
+rational polynomials: gcds (the heuristic gcd, with the primitive remainder
+sequence as fallback), Yun's square-free decomposition, resultants (the
+subresultant sequence) and exact division. Interpolation runs at integer
+nodes, so its divided differences stay integers until a division is inexact.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import zip_longest
+
 from .errors import DegeneracyError
-from .scalar import QQ, int_clear, is_rational
+from .scalar import QQ, den, int_clear, is_rational, num
 
 
 def _coerce(c):
@@ -228,7 +237,7 @@ def divrem(numer: UniPoly, denom: UniPoly):
 
 
 # ---------------------------------------------------------------------------
-# integer-level helpers for gcd / resultant (primitive PRS, subresultants)
+# integer kernels: gcd, square-free decomposition, resultant
 # ---------------------------------------------------------------------------
 
 
@@ -243,14 +252,24 @@ def _itrim(a):
 
 
 def _iprimitive(a):
-    import math
-
-    g = 0
-    for v in a:
-        g = math.gcd(g, abs(v))
+    g = math.gcd(*a)
     if g > 1:
         a = [v // g for v in a]
     return a
+
+
+def _ipositive(a):
+    """a with its leading coefficient made positive."""
+    return [-v for v in a] if a[-1] < 0 else a
+
+
+def _iderivative(a):
+    return [i * v for i, v in enumerate(a)][1:]
+
+
+def _imonic(a, var) -> UniPoly:
+    lead = a[-1]
+    return UniPoly([QQ(v, lead) for v in a], var)
 
 
 def _iprem(a, b):
@@ -273,6 +292,85 @@ def _iprem(a, b):
     return r
 
 
+def _iexquo(a, b):
+    """a / b over the integers when b divides a there, else None."""
+    db = _ideg(b)
+    lb = b[-1]
+    r = list(a)
+    if _ideg(r) < db:
+        return None if any(r) else []
+    q = [0] * (len(r) - db)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db]
+        if not c:
+            continue
+        f, m = divmod(c, lb)
+        if m:
+            return None
+        q[k] = f
+        for j in range(db):
+            r[k + j] -= f * b[j]
+    return None if any(r[:db]) else q
+
+
+def _prs_gcd(a, b):
+    """Primitive gcd of primitive integer polynomials by the primitive PRS."""
+    if _ideg(a) < _ideg(b):
+        a, b = b, a
+    while b:
+        r = _iprem(a, b)
+        a, b = b, _iprimitive(r)
+    return _ipositive(a)
+
+
+def _ieval(a, x):
+    acc = 0
+    for v in reversed(a):
+        acc = acc * x + v
+    return acc
+
+
+# evaluation points the heuristic gcd tries before the remainder sequence
+GCDHEU_TRIES = 6
+
+
+def _heuristic_gcd(a, b):
+    """Primitive gcd of primitive integer polynomials by GCDHEU, or None.
+
+    Char, Geddes & Gonnet (JSC 1989): the integer gcd of a(xi) and b(xi),
+    read back as balanced xi-adic digits, has a primitive part h. With
+    xi >= 2 * min(|a|, |b|) + 2 (max-norms), h is the gcd as soon as it
+    divides both a and b exactly; otherwise xi grows and is tried again.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(GCDHEU_TRIES):
+        gamma = math.gcd(_ieval(a, xi), _ieval(b, xi))
+        digits = []
+        while gamma:
+            d = gamma % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        h = _ipositive(_iprimitive(digits))
+        if _iexquo(a, h) is not None and _iexquo(b, h) is not None:
+            return h
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _igcd(a, b):
+    """Primitive gcd, lead positive, of two integer polynomials (b may be 0)."""
+    a = _iprimitive(a)
+    if not b:
+        return _ipositive(a)
+    b = _iprimitive(b)
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    h = _heuristic_gcd(a, b)
+    return h if h is not None else _prs_gcd(a, b)
+
+
 def field_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic gcd by plain Euclid; works for any exact field coefficients."""
     a, b = p, q
@@ -285,50 +383,76 @@ def field_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals, via a primitive remainder sequence."""
+    """Monic gcd over the rationals, computed on primitive integer vectors.
+
+    The heuristic gcd is tried first; the primitive remainder sequence
+    answers when it fails ``GCDHEU_TRIES`` times.
+    """
     if not p:
         return q.monic() if q else q
     if not q:
         return p.monic()
-    _, a = int_clear(p.coeffs)
-    _, b = int_clear(q.coeffs)
-    if _ideg(a) < _ideg(b):
-        a, b = b, a
-    while b:
-        r = _iprem(a, b)
-        a, b = b, _iprimitive(r)
-    g = UniPoly(a, p.var)
-    return g.monic()
+    return _imonic(_igcd(int_clear(p.coeffs)[1], int_clear(q.coeffs)[1]), p.var)
+
+
+def _integer_yun(a):
+    """Yun's square-free decomposition of a primitive integer polynomial.
+
+    Returns (primitive factor, multiplicity) by ascending multiplicity; every
+    division is exact over the integers because each divisor is primitive.
+    """
+    out = []
+    if len(a) == 1:
+        return out
+    da = _iderivative(a)
+    g = _igcd(a, da)
+    w, y = _iexquo(a, g), _iexquo(da, g)
+    i = 1
+    while len(w) > 1:
+        z = _itrim([u - v for u, v in zip_longest(y, _iderivative(w), fillvalue=0)])
+        h = _igcd(w, z)
+        if len(h) > 1:
+            out.append((h, i))
+        w, y = _iexquo(w, h), _iexquo(z, h)
+        i += 1
+    return out
+
+
+def squarefree_factors(p: UniPoly):
+    """(m, factors): p = c * var^m * prod f^k over ``factors`` = [(f, k)].
+
+    Each f is a square-free primitive integer coefficient list (ascending,
+    lead positive) with f(0) != 0, the f are pairwise coprime and the k
+    ascend. The root at 0 is stripped before Yun's algorithm runs.
+    """
+    if not p:
+        raise ValueError("zero polynomial")
+    a = int_clear(p.coeffs)[1]
+    m = 0
+    while not a[m]:
+        m += 1
+    return m, _integer_yun(a[m:])
 
 
 def squarefree_decomposition(p: UniPoly):
     """Yun decomposition: list of (monic factor, multiplicity).
 
-    The product of factor^multiplicity equals p up to a nonzero constant.
+    The product of factor^multiplicity equals p up to a nonzero constant;
+    the factors are pairwise coprime and their multiplicities ascend. The
+    root at 0 joins the factor of its multiplicity, or forms its own.
     """
-    if not p:
-        raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    p = p.monic()
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    if g.degree == 0:
-        return [(p, 1)]
-    out = []
-    w = p / g
-    y = dp / g
-    i = 1
-    z = y - w.derivative()
-    while w.degree > 0:
-        h = poly_gcd(w, z)
-        if h.degree > 0:
-            out.append((h, i))
-        w = w / h
-        y = z / h
-        z = y - w.derivative()
-        i += 1
-    return out
+    m, factors = squarefree_factors(p)
+    if m:
+        ks = [k for _, k in factors]
+        if m in ks:
+            i = ks.index(m)
+            factors[i] = ([0] + factors[i][0], m)
+        else:
+            i = sum(1 for k in ks if k < m)
+            factors.insert(i, ([0, 1], m))
+    return [(_imonic(f, p.var), k) for f, k in factors]
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -343,8 +467,11 @@ def gcd_squarefree(p: UniPoly):
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return UniPoly.const(1, p.var), p
-    g = poly_gcd(p, p.derivative())
-    return g, p / g
+    content, a = int_clear(p.coeffs)
+    g = _igcd(a, _iderivative(a))
+    # p / (g / lead g) = content * lead(g) * (a / g)
+    scale = content * g[-1]
+    return _imonic(g, p.var), UniPoly([scale * v for v in _iexquo(a, g)], p.var)
 
 
 def resultant(p: UniPoly, q: UniPoly):
@@ -568,9 +695,6 @@ class ParamPoly:
         """Substitute the parameter; result is univariate in the main variable."""
         return UniPoly([c.eval(value) for c in self.coeffs], self.main_var)
 
-    def eval_point(self, main_value, param_value):
-        return self.eval_param(param_value).eval(main_value)
-
     def derivative_main(self) -> "ParamPoly":
         return ParamPoly(
             [i * c for i, c in enumerate(self.coeffs)][1:],
@@ -785,7 +909,12 @@ class BiPoly:
 
 
 class NewtonInterp:
-    """Incremental Newton interpolation over exact rationals."""
+    """Incremental Newton interpolation, exact.
+
+    Integer nodes and values keep the divided differences integers: each is
+    taken by ``divmod``, and only a division that leaves a remainder makes a
+    rational. Rational nodes or values work too.
+    """
 
     def __init__(self, var="x"):
         self.var = var
@@ -794,11 +923,12 @@ class NewtonInterp:
         self._row = []  # last row of the table, the only one add_point needs
 
     def add_point(self, x, y):
-        x, y = _coerce(x), _coerce(y)
+        x, y = _integral(x), _integral(y)
         row = [y]
+        xs = self.xs
         for k, prev in enumerate(self._row):
-            row.append((row[k] - prev) / (x - self.xs[len(self.xs) - 1 - k]))
-        self.xs.append(x)
+            row.append(_divide(row[k] - prev, x - xs[len(xs) - 1 - k]))
+        xs.append(x)
         self._row = row
         self.diffs.append(row[-1])
 
@@ -813,10 +943,29 @@ class NewtonInterp:
         size = len(self.xs) - drop
         if size <= 0:
             return UniPoly.zero(self.var)
-        acc = UniPoly.const(self.diffs[size - 1], self.var)
+        acc = [self.diffs[size - 1]]  # Horner in the Newton basis, ascending
         for i in range(size - 2, -1, -1):
-            acc = acc * UniPoly((-self.xs[i], 1), self.var) + self.diffs[i]
-        return acc
+            x = self.xs[i]
+            acc.append(acc[-1])
+            for j in range(len(acc) - 2, 0, -1):
+                acc[j] = acc[j - 1] - x * acc[j]
+            acc[0] = self.diffs[i] - x * acc[0]
+        return UniPoly(acc, self.var)
+
+
+def _integral(v):
+    """v, as an int when it is an integral rational."""
+    if isinstance(v, int) or den(v) != 1:
+        return v
+    return num(v)
+
+
+def _divide(a, b):
+    """a / b, exact; an int whenever the quotient is an integer."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return QQ(a, b) if r else q
+    return _integral(a / b)
 
 
 def interpolate(points, var="x") -> UniPoly:
@@ -826,13 +975,13 @@ def interpolate(points, var="x") -> UniPoly:
     return it.polynomial()
 
 
-def rational_nodes():
-    """Deterministic stream of small distinct rationals: 0, 1, -1, 2, -2, ..."""
-    yield QQ(0)
+def integer_nodes():
+    """Deterministic stream of small distinct integers: 0, 1, -1, 2, -2, ..."""
+    yield 0
     k = 1
     while True:
-        yield QQ(k)
-        yield QQ(-k)
+        yield k
+        yield -k
         k += 1
 
 
@@ -841,7 +990,7 @@ SKIP_BUDGET = 60
 
 
 class NodeValues:
-    """An exact function of one rational, evaluated at most once per node.
+    """An exact function of one integer node, evaluated at most once per node.
 
     compute(t) returns the value at t, or None at a node that must be skipped
     (a specialization that drops degree or degenerates). Callers that probe a
@@ -860,8 +1009,8 @@ class NodeValues:
         return self._cache[t]
 
     def points(self):
-        """(node, value) at the valid nodes, in the order of rational_nodes()."""
-        nodes = rational_nodes()
+        """(node, value) at the valid nodes, in the order of integer_nodes()."""
+        nodes = integer_nodes()
         if self._skip_zero:
             next(nodes)
         skips = 0

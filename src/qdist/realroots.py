@@ -1,17 +1,21 @@
 """Exact real-root isolation and refinement.
 
-All computations stay over the rationals. Roots are reported as disjoint
-isolating intervals (zero-width for roots that are recognized as rational),
-with exact multiplicities taken from the square-free decomposition.
-Isolation bisects intervals in the manner of Vincent, Collins and Akritas:
-each interval carries the square-free part mapped onto (0, 1) as an integer
-polynomial, and Descartes' rule of signs counts its roots there.
+Every computation is exact. Roots are reported as disjoint isolating
+intervals with rational ends (zero-width for roots that are recognized as
+rational), with exact multiplicities taken from the square-free
+decomposition, which Yun's algorithm computes over the integers with the
+root at 0 stripped first. Isolation bisects intervals in the manner of
+Vincent, Collins and Akritas: each interval carries the product of the
+square-free factors mapped onto (0, 1) as an integer polynomial, and
+Descartes' rule of signs counts its roots there.
 
-Every isolating interval keeps the square-free part it was isolated on, so
-refinement computes no square-free part of its own: it bisects the rational
-bracket by sign tests of that polynomial. A refined root is returned exact
-when it is hit by a midpoint or when the simplest rational in the final
-bracket is a root.
+Every isolating interval keeps the one square-free factor that holds its
+root, with integer coefficients, so refinement computes no square-free part
+of its own: it bisects the rational bracket by sign tests of that factor.
+The factor has no other root in the bracket, so the brackets are those the
+whole square-free part would give. A refined root is returned exact when it
+is hit by a midpoint or when the simplest rational in the final bracket is
+a root.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import NoPositiveRootError
-from .poly import UniPoly, squarefree_decomposition, squarefree_part
+from .poly import UniPoly, squarefree_factors, squarefree_part
 from .scalar import QQ, den, int_clear, num, simplest_in_interval
 
 ALL_POSITIVE = "all-positive"
@@ -34,9 +38,11 @@ class IsolatingInterval:
     """Open interval (lo, hi) containing exactly one distinct real root.
 
     lo == hi means the root is the exact rational lo. ``poly`` is the
-    square-free polynomial the interval was isolated on, with any root at 0
-    divided out: it is nonzero at both ends of an inexact interval and
-    changes sign across it, and refinement bisects on it.
+    square-free factor of the isolated polynomial whose roots have this
+    multiplicity, with integer coefficients and any root at 0 divided out
+    (the variable itself for the root 0). On an inexact interval it is
+    nonzero at both ends, changes sign across it and has no other root in
+    it, and refinement bisects on it.
     """
 
     lo: object
@@ -193,29 +199,21 @@ def isolate_real_roots(p: UniPoly):
         raise ValueError("zero polynomial")
     if p.degree < 1:
         return []
-    factors = squarefree_decomposition(p)
-    s = UniPoly.const(1, p.var)
+    zero_mult, int_factors = squarefree_factors(p)
+    factors = [(UniPoly(f, p.var), k) for f, k in int_factors]
+    # the root at zero is stripped, so every other interval has a fixed sign
+    s_rest = UniPoly.const(1, p.var)
     for f, _ in factors:
-        s = s * f
-    # treat a root at zero separately so every other interval has a fixed sign
-    zero_root = not s.eval(QQ(0))
-    if zero_root:
-        s_rest = s / UniPoly((0, 1), p.var)
-    else:
-        s_rest = s
-    b = root_bound(s_rest) if s_rest.degree >= 1 else QQ(1)
+        s_rest = s_rest * f
     raw = []
     if s_rest.degree >= 1:
+        b = root_bound(s_rest)
         eps = QQ(1)
         while not s_rest.eval(eps) or not s_rest.eval(-eps):
             eps = eps / 2
-        if not s_rest.eval(QQ(0)):
-            raise AssertionError("zero root not factored out")
         # split at zero so every interval lies on one side of it
         for lo, hi in ((-b, -eps), (-eps, QQ(0)), (QQ(0), eps), (eps, b)):
             raw.extend(_isolate_squarefree(s_rest, lo, hi))
-    if zero_root:
-        raw.append((QQ(0), QQ(0)))
     # collapse intervals whose root is a recognizable rational
     refined = []
     for a, bnd in raw:
@@ -227,31 +225,23 @@ def isolate_real_roots(p: UniPoly):
             refined.append((cand, cand))
         else:
             refined.append((a, bnd))
-    # attach multiplicities via the square-free factors; strip factor roots
-    # at zero so intervals with endpoint 0 still get a clean sign test
-    def _strip_zero(f):
-        cs = list(f.coeffs)
-        while cs and not cs[0]:
-            cs.pop(0)
-        return UniPoly(cs, f.var)
-
+    # each root takes the multiplicity of the square-free factor that holds
+    # it, and keeps that factor: its only root in the bracket is this one
     out = []
+    if zero_mult:
+        out.append(IsolatingInterval(QQ(0), QQ(0), zero_mult, UniPoly.x(p.var)))
     for a, bnd in refined:
-        mult = None
         for f, k in factors:
             if a == bnd:
                 if not f.eval(a):
-                    mult = k
                     break
             else:
-                fs = _strip_zero(f)
-                fa, fb = fs.eval(a), fs.eval(bnd)
+                fa, fb = f.eval(a), f.eval(bnd)
                 if fa and fb and (fa > 0) != (fb > 0):
-                    mult = k
                     break
-        if mult is None:
+        else:
             raise AssertionError("could not attribute a multiplicity")
-        out.append(IsolatingInterval(a, bnd, mult, s_rest))
+        out.append(IsolatingInterval(a, bnd, k, f))
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 

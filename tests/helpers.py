@@ -6,7 +6,7 @@ from qdist.discrim import quotient_basis_monomials
 from qdist.errors import DegeneracyError
 from qdist.linalg import MatrixQ, VectorQ, definiteness, determinant
 from qdist.metrics import Quadric, normalize
-from qdist.poly import BiPoly, UniPoly, divrem
+from qdist.poly import BiPoly, UniPoly, divrem, field_gcd
 from qdist.scalar import QQ, rational
 
 
@@ -205,3 +205,54 @@ def fraction_bezout_rows(g: BiPoly):
         except DegeneracyError:
             if extra == 4:
                 raise
+
+
+def fraction_squarefree_decomposition(p: UniPoly):
+    """Yun's decomposition over Fraction coefficients, by Euclid's gcd: an oracle.
+
+    Returns [(monic factor, multiplicity)] by ascending multiplicity, as
+    ``qdist.poly.squarefree_decomposition`` does.
+    """
+    p = p.monic()
+    dp = p.derivative()
+    g = field_gcd(p, dp)
+    if g.degree == 0:
+        return [(p, 1)]
+    out = []
+    w, y = p / g, dp / g
+    z = y - w.derivative()
+    i = 1
+    while w.degree > 0:
+        h = field_gcd(w, z)
+        if h.degree > 0:
+            out.append((h, i))
+        w = w / h
+        y = z / h
+        z = y - w.derivative()
+        i += 1
+    return out
+
+
+class FractionNewtonInterp:
+    """Newton divided differences over Fraction nodes and values: an oracle."""
+
+    def __init__(self, var="x"):
+        self.var = var
+        self.xs = []
+        self.diffs = []
+        self._row = []
+
+    def add_point(self, x, y):
+        x, y = QQ(x), QQ(y)
+        row = [y]
+        for k, prev in enumerate(self._row):
+            row.append((row[k] - prev) / (x - self.xs[len(self.xs) - 1 - k]))
+        self.xs.append(x)
+        self._row = row
+        self.diffs.append(row[-1])
+
+    def polynomial(self):
+        acc = UniPoly.const(self.diffs[-1], self.var)
+        for i in range(len(self.xs) - 2, -1, -1):
+            acc = acc * UniPoly((-self.xs[i], 1), self.var) + self.diffs[i]
+        return acc

@@ -390,6 +390,26 @@ def test_poly_rejects_uncentered_quadric(tmp_path, capsys):
         assert "both quadrics must be centered" in capsys.readouterr().err
 
 
+def test_poly_of_point_on_the_quadric_is_classified(tmp_path):
+    # (2, 0) lies on x^2/4 + y^2 = 1: d = 0, and F(z) has no meaning
+    problem = dict(ELLIPSE_POINT, point=[2, 0])
+    code, text = run(tmp_path, "poly", problem)
+    assert code == 3
+    assert json.loads(text)["reason"] == "point-on-surface"
+    code, text = run(tmp_path, "distance", problem)
+    assert code == 0 and json.loads(text)["d"]["value"] == "0"
+
+
+@pytest.mark.parametrize("a", [[[1, 0], [0, 2]], [[1, 0], [0, 1]]], ids=["ellipse", "circle"])
+def test_poly_of_identical_surfaces_is_classified(tmp_path, a):
+    problem = _pair(a, [0, 0], a, [0, 0])
+    code, text = run(tmp_path, "poly", problem)
+    assert code == 3
+    assert json.loads(text)["reason"] == "identical-surfaces"
+    code, text = run(tmp_path, "distance", problem)
+    assert code == 0 and json.loads(text)["certificate"] == {"identical": True}
+
+
 def test_poly_of_sphere_pair_is_the_distance_f(tmp_path):
     problem = {
         "kind": "quadric-quadric",

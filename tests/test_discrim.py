@@ -470,3 +470,23 @@ def test_last_row_cofactors_field():
     data = bezout_matrix((X - 2) ** 2 * (X + 1))
     assert [data.last_row_cofactor(j) for j in range(data.size)] == [QQ(2), QQ(4)]
     assert multiple_zero_uni(data) == QQ(4) / QQ(2)
+
+
+def test_discriminant_param_calls_discriminant_uni_once_per_node(monkeypatch):
+    # perfbench counts discrim.node_evals by wrapping discrim.discriminant_uni,
+    # so every node of a point pencil must go through that module-level name
+    from qdist import discrim, poly
+    from qdist.linalg import MatrixQ, VectorQ
+    from qdist.metrics import normalize, point_pencil
+
+    pencil = point_pencil(
+        normalize(MatrixQ([[QQ(1, 4), 0], [0, 1]]), VectorQ([0, 0]), -1), VectorQ([3, 1])
+    )
+    expected = discriminant_param(pencil, degree_bound=6)
+    calls, nodes = [], []
+    uni, add_point = discrim.discriminant_uni, poly.NewtonInterp.add_point
+    monkeypatch.setattr(discrim, "discriminant_uni", lambda g: calls.append(g) or uni(g))
+    monkeypatch.setattr(poly.NewtonInterp, "add_point",
+                        lambda self, x, y: nodes.append(x) or add_point(self, x, y))
+    assert discriminant_param(pencil, degree_bound=6) == expected
+    assert len(calls) == len(nodes) == expected.degree + 4

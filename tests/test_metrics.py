@@ -321,13 +321,13 @@ def test_pencils_match_their_defining_determinants():
         for t, z in PENCIL_SAMPLES:
             eye = MatrixQ.identity(n).scale(t)
             border = [e.b[i] + t * x0[i] for i in range(n)]
-            assert pp.eval_point(t, z) == _bordered_det(
+            assert pp.eval_param(z).eval(t) == _bordered_det(
                 (e.a - eye).entries, border, border, -1 - t * x0.dot(x0) + t * z
             )
-            assert vp.eval_point(t, z) == _variety_det(e, v, t, z)
+            assert vp.eval_param(z).eval(t) == _variety_det(e, v, t, z)
             a = q2.a - e.a.scale(t)
             b = [q2.b[i] - t * e.b[i] for i in range(n)]
-            assert sp.eval_point(t, z) == _bordered_det(a.entries, b, b, t - 1 - z)
+            assert sp.eval_param(z).eval(t) == _bordered_det(a.entries, b, b, t - 1 - z)
 
 
 def test_orthonormal_variety_pencil_matches_reduced_form():
@@ -339,7 +339,7 @@ def test_orthonormal_variety_pencil_matches_reduced_form():
         for mu, z in PENCIL_SAMPLES:
             a = e.a - cct.scale(mu)
             reduced = _bordered_det(a.entries, e.b, e.b, -1 + mu * z)
-            assert pencil.eval_point(mu, z) == reduced == _variety_det(e, v, mu, z)
+            assert pencil.eval_param(z).eval(mu) == reduced == _variety_det(e, v, mu, z)
 
 
 def test_point_distance_poly_factorization_on_axis():
@@ -359,8 +359,11 @@ def test_point_distance_origin_reciprocal_largest_eigenvalue():
 
 
 def test_point_on_quadric_rejected():
-    with pytest.raises(ValueError):
+    # valid input with d = 0: a classified degeneracy, not a usage error
+    with pytest.raises(DegeneracyError) as info:
         point_distance_poly(ellipse_2_1(), VectorQ([2, 0]))
+    assert info.value.code == "point-on-surface"
+    assert not isinstance(info.value, ValueError)
 
 
 def test_centered_remark_reciprocal_eigenvalue_random():

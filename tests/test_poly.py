@@ -5,22 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_poly, sylvester_resultant
+from helpers import (
+    FractionNewtonInterp,
+    fraction_squarefree_decomposition,
+    rand_poly,
+    sylvester_resultant,
+)
+from qdist import poly
 from qdist.errors import DegeneracyError
 from qdist.poly import (
     BiPoly,
+    NewtonInterp,
     NodeValues,
     ParamPoly,
     RatFunc,
     UniPoly,
     divrem,
+    field_gcd,
     gcd_squarefree,
     interpolate_verified,
     poly_gcd,
     resultant,
     squarefree_decomposition,
 )
-from qdist.scalar import QQ
+from qdist.scalar import QQ, int_clear
 
 X = UniPoly.x("x")
 
@@ -176,6 +184,92 @@ def test_squarefree_decomposition_structure():
     assert facs[1] == X - 5
     assert facs[2] == X + 2
     assert facs[3] == X - 1
+
+
+def _seeded_factor_product(rng):
+    """(p, zero multiplicity): a product of powers of coprime factors and of z.
+
+    The power of z equals another factor's multiplicity in about half the
+    products and differs from all of them otherwise.
+    """
+    p = UniPoly.const(QQ(rng.randint(1, 9), rng.randint(1, 5)), "x")
+    ks = []
+    for r in rng.sample(range(1, 12), rng.randint(1, 3)):
+        k = rng.randint(1, 4)
+        f = X - QQ(r, rng.randint(1, 3)) if rng.random() < 0.5 else X * X - QQ(r, 2) * X + r
+        p = p * f**k
+        ks.append(k)
+    m = rng.choice(ks) if rng.random() < 0.5 else rng.choice([0, 5, 6])
+    return p.shift_up(m), m
+
+
+def test_integer_yun_matches_fraction_yun():
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(120):
+        p, m = _seeded_factor_product(rng)
+        got = squarefree_decomposition(p)
+        assert got == fraction_squarefree_decomposition(p)
+        ks = [k for _, k in got]
+        assert ks == sorted(ks)
+        if m:
+            seen.add(sum(1 for f, k in got if not f.coeffs[0] and k == m and f.degree > 1))
+    # z^m merged into another factor's power, and z^m standing alone
+    assert seen == {0, 1}
+
+
+def test_heuristic_gcd_matches_prs(monkeypatch):
+    rng = random.Random(16)
+    prs_calls = []
+    prs = poly._prs_gcd
+    monkeypatch.setattr(poly, "_prs_gcd", lambda a, b: prs_calls.append(1) or prs(a, b))
+    cases = []
+    for _ in range(60):
+        common = rand_poly(rng, rng.randint(0, 4))
+        p = common * rand_poly(rng, rng.randint(1, 5))
+        q = common * rand_poly(rng, rng.randint(1, 5))
+        cases.append((p, q))
+    cases.append((X**4 - 1, (X - 1) ** 2 * (X + 1)))
+    expected = [field_gcd(p, q) for p, q in cases]
+    assert [poly_gcd(p, q) for p, q in cases] == expected
+    assert not prs_calls
+    for p, q in cases:
+        a, b = int_clear(p.coeffs)[1], int_clear(q.coeffs)[1]
+        assert poly._heuristic_gcd(a, b) == poly._prs_gcd(a, b)
+    # with no evaluation point left the remainder sequence answers alone
+    monkeypatch.setattr(poly, "GCDHEU_TRIES", 0)
+    assert [poly_gcd(p, q) for p, q in cases] == expected
+    assert len(prs_calls) >= len(cases)
+
+
+def test_newton_interp_with_inexact_divisions():
+    # t(t - 1)/2 is an integer at every integer node, but the divided
+    # differences at nodes 0, 1, -1, 2, -2, 3 are not all integers
+    t = UniPoly.x("t")
+    target = t * (t - 1) / 2
+    it, oracle = NewtonInterp("t"), FractionNewtonInterp("t")
+    for x in islice(poly.integer_nodes(), 6):
+        it.add_point(x, target.eval(x))
+        oracle.add_point(x, target.eval(x))
+    assert it.diffs == oracle.diffs
+    assert any(isinstance(d, int) for d in it.diffs)
+    assert any(not isinstance(d, int) for d in it.diffs)
+    assert it.tail_is_zero(3)
+    assert it.polynomial(drop=3) == it.polynomial() == oracle.polynomial() == target
+
+
+def test_newton_interp_matches_fraction_oracle():
+    rng = random.Random(17)
+    for _ in range(40):
+        f = rand_poly(rng, rng.randint(0, 7), "t")
+        # distinct nodes: k/3 for odd k is never an even integer
+        nodes = [QQ(k, 3) if k % 2 else QQ(k) for k in rng.sample(range(-20, 20), 9)]
+        it, oracle = NewtonInterp("t"), FractionNewtonInterp("t")
+        for x in nodes:
+            it.add_point(x, f.eval(x))
+            oracle.add_point(x, f.eval(x))
+        assert it.diffs == oracle.diffs
+        assert it.polynomial() == oracle.polynomial() == f
 
 
 def test_parampoly_evaluation_and_derivatives():

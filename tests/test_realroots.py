@@ -4,7 +4,7 @@ import random
 from helpers import _var_at, assert_printed, rand_poly, sturm_chain
 from qdist import realroots
 from qdist.errors import NoPositiveRootError
-from qdist.poly import UniPoly, squarefree_part
+from qdist.poly import UniPoly, divrem, squarefree_part
 from qdist.realroots import (
     ALL_NEGATIVE,
     ALL_POSITIVE,
@@ -284,8 +284,8 @@ def test_refine_computes_no_squarefree_part(monkeypatch):
     def forbidden(*args):
         raise AssertionError("square-free part recomputed")
 
-    for module, name in ((realroots, "squarefree_part"), (realroots, "squarefree_decomposition"),
-                         (poly, "poly_gcd"), (poly, "gcd_squarefree")):
+    for module, name in ((realroots, "squarefree_part"), (realroots, "squarefree_factors"),
+                         (poly, "poly_gcd"), (poly, "gcd_squarefree"), (poly, "_igcd")):
         monkeypatch.setattr(module, name, forbidden)
     values = [refine(iv, 64) for iv in roots]
     assert values[1:3] == [0, QQ(1, 3)]
@@ -294,3 +294,25 @@ def test_refine_computes_no_squarefree_part(monkeypatch):
     assert all(iv.width <= QQ(1, 1 << 96) for iv in narrow)
     assert [realroots.refine_interval(iv, 128).lo for iv in narrow[1:3]] == [0, QQ(1, 3)]
     assert narrow[4].poly is roots[4].poly
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_factor_brackets_equal_product_brackets(k):
+    # p = E * C^2 * N^3 * z^k: each interval bisects on the factor that holds
+    # its root, and reaches the brackets the whole square-free part reaches
+    e, c, n = Z**2 - 3 * Z + 1, Z**3 - 2, (2 * Z**2 - 7) * (3 * Z - 1)
+    p = e * c**2 * n**3 * Z**k
+    whole = squarefree_part(p)
+    whole = UniPoly(whole.coeffs[1:], "z") if not whole.coeffs[0] else whole
+    roots = isolate_real_roots(p)
+    assert [iv.multiplicity for iv in roots] == [3] + [k] * bool(k) + [3, 1, 2, 3, 1]
+    for iv in roots:
+        assert not divrem(p, iv.poly)[1]
+        if iv.exact:
+            continue
+        assert iv.poly.degree < whole.degree
+        product = IsolatingInterval(iv.lo, iv.hi, iv.multiplicity, whole)
+        for bits in (16, 64, 128):
+            mine = realroots.refine_interval(iv, bits)
+            theirs = realroots.refine_interval(product, bits)
+            assert (mine.lo, mine.hi) == (theirs.lo, theirs.hi)
