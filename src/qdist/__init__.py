@@ -6,7 +6,13 @@ univariate polynomial obtained by discriminant-based elimination, and the
 nearest points are recovered rationally from the same data.
 """
 
-from .errors import DegeneracyError, NoPositiveRootError, QdistError, SingularMatrixError
+from .errors import (
+    DegeneracyError,
+    InputError,
+    NoPositiveRootError,
+    QdistError,
+    SingularMatrixError,
+)
 from .linalg import (
     MatrixQ,
     VectorQ,

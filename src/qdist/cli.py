@@ -13,7 +13,7 @@ import contextlib
 import json
 import sys
 
-from .errors import DegeneracyError, QdistError
+from .errors import DegeneracyError, InputError, QdistError
 from .linalg import MatrixQ, VectorQ
 from .metrics import (
     DistanceReport,
@@ -294,14 +294,14 @@ def cmd_distance(p: ProblemFile):
 
 def cmd_family(p: ProblemFile):
     if p.kind != "family-point":
-        raise ValueError("family command requires kind family-point")
+        raise InputError("family command requires kind family-point")
     return cmd_distance(p)
 
 
 def cmd_intersect(p: ProblemFile):
     step = PAIRINGS[p.kind][1]
     if step is None:
-        raise ValueError("intersect does not apply to family problems")
+        raise InputError("intersect does not apply to family problems")
     report = step(*_operands(p)).report
     return {
         "status": "ok",
@@ -344,16 +344,19 @@ def _sweep_value(quadric: Quadric, x0, y0):
 
 def cmd_sweep(p: ProblemFile, grid_spec: str, out_stream, exact_stream=None):
     if p.kind != "point-quadric":
-        raise ValueError("sweep requires kind point-quadric")
+        raise InputError("sweep requires kind point-quadric")
     if p.quadric.dim != 2:
-        raise ValueError("sweep is two-dimensional")
+        raise InputError("sweep is two-dimensional")
     parts = grid_spec.split(",")
     if len(parts) != 5:
-        raise ValueError("grid must be x0min,x0max,y0min,y0max,steps")
-    x0min, x0max, y0min, y0max = (rational(s) for s in parts[:4])
-    steps = int(parts[4])
+        raise InputError("grid must be x0min,x0max,y0min,y0max,steps")
+    try:
+        x0min, x0max, y0min, y0max = (rational(s) for s in parts[:4])
+        steps = int(parts[4])
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if steps < 2:
-        raise ValueError("steps must be at least 2")
+        raise InputError("steps must be at least 2")
     out_stream.write("x0,y0,value_sign,value_decimal\n")
     if exact_stream is not None:
         exact_stream.write("x0,y0,value\n")
@@ -420,9 +423,9 @@ def _emit(payload, path, code) -> int:
 
 def _run_sweep(problem: ProblemFile, args) -> int:
     if not args.grid:
-        raise ValueError("sweep requires --grid")
+        raise InputError("sweep requires --grid")
     if problem.exact and not args.out:
-        raise ValueError("exact sweep sidecar requires --out")
+        raise InputError("exact sweep sidecar requires --out")
     with contextlib.ExitStack() as stack:
         try:
             out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
@@ -457,7 +460,7 @@ def main(argv=None) -> int:
             result = cmd_poly(problem)
         else:
             result = cmd_family(problem)
-    except ValueError as exc:
+    except InputError as exc:
         return _usage_error(exc)
     except Exception as exc:  # a QdistError, or a fault no solver classified
         if isinstance(exc, QdistError):

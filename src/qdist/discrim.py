@@ -7,11 +7,14 @@ value, and the cofactors of the last row locate a unique multiple zero.
 
 Bivariate: row m of the analogue holds the coefficients of x^m * g over a
 fixed basis of (N-1)^2 power products x^m, after reduction modulo the ideal
-generated by both partial derivatives (one fraction-free echelon pass over
-the shifted partials). The determinant of that matrix equals the product of
-g over its stationary points, and its cofactors locate a unique multiple
-zero. Inputs whose shifted partials meet the basis span have no unique
-matrix and are reported as degenerate.
+generated by both partial derivatives: the matrix of multiplication by g in
+the quotient ring. Only g is reduced directly; each other row is the
+reduction of a variable times an earlier row (a multiplication chain), so
+one fraction-free echelon of the shifted partials up to degree
+max(max basis degree + 1, N) serves every row. The determinant of that
+matrix equals the product of g over its stationary points, and its
+cofactors locate a unique multiple zero. Inputs whose shifted partials meet
+the basis span have no unique matrix and are reported as degenerate.
 
 Parameter-dependent inputs are handled by exact evaluation / interpolation
 at rational nodes with verification nodes guarding the degree bound.
@@ -209,19 +212,26 @@ def _int_terms(p: BiPoly):
 class GradientReducer:
     """Reduces polynomials modulo the two partial derivatives of g.
 
-    The shifted partials x^a * dg/dx_i up to the working degree are brought
-    to echelon form over a monomial order that lists the fixed quotient basis
-    last; reducing a polynomial by those pivot rows leaves its coefficients
-    over the basis. When the shifted partials span part of the basis span
-    (gradient ideal not zero-dimensional of the expected degree) those
-    coefficients are not unique, and construction raises DegeneracyError.
+    The shifted partials x^a * dg/dx_i up to the working degree (the window)
+    are brought to echelon form over a monomial order that lists the fixed
+    quotient basis last; reducing a polynomial by those pivot rows leaves its
+    coefficients over the basis. When the shifted partials span part of the
+    basis span (gradient ideal not zero-dimensional of the expected degree)
+    those coefficients are not unique, and construction raises
+    DegeneracyError.
+
+    The smallest useful window has degree max(max basis degree + 1, N): it
+    holds every product of a basis monomial with a variable, which is all
+    the multiplication chain of ``bezout_matrix_biv`` reduces, and the
+    partials themselves. For N = 4 that is 21 monomials and 12 shifted
+    partials.
 
     The echelon is fraction-free (Bareiss, Math. Comp. 1968): integer rows,
     divided by their content after every pivot step, so that each is the
     primitive integer multiple of the row a rational echelon would hold.
     """
 
-    def __init__(self, g: BiPoly, extra_degree: int = 0):
+    def __init__(self, g: BiPoly, degree: int):
         n = g.total_degree
         if n < 2:
             raise ValueError("degree must be at least 2")
@@ -229,18 +239,16 @@ class GradientReducer:
         self.size = (n - 1) ** 2
         if len(self.basis) != self.size:
             raise AssertionError("basis size mismatch")
-        self.max_degree = max(i + j for i, j in self.basis) + n + extra_degree
         basis_set = set(self.basis)
-        nonbasis = [m for m in _monomials_leq(self.max_degree) if m not in basis_set]
+        nonbasis = [m for m in _monomials_leq(degree) if m not in basis_set]
         self.index = {m: k for k, m in enumerate(nonbasis + self.basis)}
         self.n_nonbasis = len(nonbasis)
         self.dim = len(self.index)
         # lead position -> primitive integer row as (position, value) pairs, lead first
         self.pivots = {}
-        shift_deg = self.max_degree - (n - 1)
         for dp in (g.derivative(0), g.derivative(1)):
             _, terms = _int_terms(dp)
-            for a1, a2 in _monomials_leq(shift_deg):
+            for a1, a2 in _monomials_leq(degree - (n - 1)):
                 v = [0] * self.dim
                 for (i, j), c in terms:
                     v[self.index[(i + a1, j + a2)]] = c
@@ -279,11 +287,9 @@ class GradientReducer:
                     den *= content
         return num, den
 
-    def reduce(self, p: BiPoly):
-        """Coefficients of p over the quotient basis (ascending basis order)."""
-        if p.total_degree > self.max_degree:
-            raise ValueError("degree exceeds the reducer's working degree")
-        content, terms = _int_terms(p)
+    def _normal_form(self, terms):
+        """(scale, ints): the polynomial with integer terms [(monomial, int)]
+        is congruent to scale times ints over the quotient basis."""
         v = [0] * self.dim
         for m, c in terms:
             v[self.index[m]] = c
@@ -293,25 +299,49 @@ class GradientReducer:
                 "gradient-reduction-unsolvable",
                 "polynomial does not reduce to the quotient basis",
             )
-        scale = content * QQ(den, num)
-        return [c * scale for c in v[self.n_nonbasis :]]
+        return QQ(den, num), v[self.n_nonbasis :]
+
+    def multiplication_rows(self, g: BiPoly):
+        """Coefficients of m * g over the quotient basis, for each basis m.
+
+        A multiplication chain (Moller & Stetter, Numer. Math. 1995): only g
+        itself is reduced as given; every other row is the reduction of
+        x_i times the row of m / x_i, which the basis order lists earlier.
+        Normal forms are linear and x_i * (p - NF(p)) lies in the ideal, so
+        this is the normal form of m * g, while the largest polynomial
+        reduced has degree max basis degree + 1.
+        """
+        rows = {}  # basis monomial -> (rational scale, primitive integer row)
+        for m in self.basis:
+            if m == (0, 0):
+                factor, terms = _int_terms(g)
+            else:
+                step = (0, 1) if m[1] else (1, 0)
+                factor, ints = rows[(m[0] - step[0], m[1] - step[1])]
+                terms = [((b[0] + step[0], b[1] + step[1]), c)
+                         for b, c in zip(self.basis, ints) if c]
+            scale, ints = self._normal_form(terms)
+            rows[m] = factor * scale, ints
+        return [[scale * c for c in ints] for scale, ints in map(rows.get, self.basis)]
 
 
 def bezout_matrix_biv(g: BiPoly) -> BezoutData:
     """The (N-1)^2 reduction-coefficient matrix for all basis monomials.
 
-    The shifted-partial window starts at the natural degree bound and grows
-    a little when a special input needs higher-degree multipliers.
+    The rows come from ``GradientReducer.multiplication_rows`` in the
+    smallest window. When a special input leaves some product unreduced
+    there, the window grows to the natural degree bound of a direct
+    reduction of m * g (max basis degree + N), then by 2 and by 4.
     """
-    for extra in (0, 2, 4):
-        reducer = GradientReducer(g, extra_degree=extra)
+    n = g.total_degree
+    top = max(i + j for i, j in quotient_basis_monomials(n))
+    windows = sorted({max(top + 1, n), top + n, top + n + 2, top + n + 4})
+    for degree in windows:
+        reducer = GradientReducer(g, degree)
         try:
-            rows = [
-                reducer.reduce(BiPoly.from_terms({m: QQ(1)}, g.vars) * g)
-                for m in reducer.basis
-            ]
+            rows = reducer.multiplication_rows(g)
         except DegeneracyError:  # gradient-reduction-unsolvable
-            if extra == 4:
+            if degree == windows[-1]:
                 raise
             continue
         return BezoutData(MatrixQ(rows), reducer.size, source=g)

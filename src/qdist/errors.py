@@ -1,6 +1,8 @@
 """Exception types shared across the package.
 
-Precondition violations (bad shapes, malformed input) raise plain ValueError.
+Input the solvers cannot take (mismatched dimensions, a problem of the wrong
+kind) raises InputError, a ValueError, which the CLI reports as bad input
+with exit status 2. Other precondition violations raise plain ValueError.
 Mathematical degeneracies -- situations the algorithms detect and refuse to
 push through -- raise DegeneracyError carrying a short machine-readable code
 so the CLI can report them with exit status 3.
@@ -11,6 +13,10 @@ from __future__ import annotations
 
 class QdistError(Exception):
     """Base class for package-specific failures."""
+
+
+class InputError(ValueError):
+    """The input describes no problem the requested solver can take."""
 
 
 class DegeneracyError(QdistError):

@@ -21,7 +21,7 @@ from .discrim import (
     multiple_zero_biv,
     multiple_zero_uni,
 )
-from .errors import DegeneracyError, NoPositiveRootError
+from .errors import DegeneracyError, InputError, NoPositiveRootError
 from .linalg import (
     MatrixQ,
     NEGATIVE_DEFINITE,
@@ -350,7 +350,7 @@ def variety_intersects(e: Quadric, v: LinearVariety):
 
 def _require_centered(q1: Quadric, q2: Quadric):
     if not q1.centered or not q2.centered:
-        raise ValueError("both quadrics must be centered")
+        raise InputError("both quadrics must be centered")
 
 
 def centered_intersects(q1: Quadric, q2: Quadric):
@@ -825,7 +825,7 @@ def _solve_pipeline(pairing: Pairing, bits) -> DistanceReport:
 def variety_pairing(e: Quadric, v: LinearVariety) -> Pairing:
     check_real_ellipsoid(e)
     if e.dim != v.dim:
-        raise ValueError("quadric and variety dimensions differ")
+        raise InputError("quadric and variety dimensions differ")
     inter, cert = variety_intersects(e, v)
     report = DistanceReport(
         kind="variety-quadric",
@@ -848,7 +848,7 @@ def solve_variety(e: Quadric, v: LinearVariety, bits: int = 128) -> DistanceRepo
 def point_pairing(e: Quadric, x0: VectorQ) -> Pairing:
     check_real_ellipsoid(e)
     if e.dim != x0.dim:
-        raise ValueError("point dimension mismatch")
+        raise InputError("point dimension mismatch")
     side = e.residual_at(x0)
     report = DistanceReport(
         kind="point-quadric",
@@ -871,7 +871,7 @@ def solve_point(e: Quadric, x0: VectorQ, bits: int = 128) -> DistanceReport:
 
 def centered_pairing(q1: Quadric, q2: Quadric) -> Pairing:
     if q1.dim != q2.dim:
-        raise ValueError("dimension mismatch")
+        raise InputError("dimension mismatch")
     inter, cls = centered_intersects(q1, q2)
     report = DistanceReport(
         kind="centered-quadric-quadric",
@@ -1019,7 +1019,7 @@ def general_pairing(q1: Quadric, q2: Quadric) -> Pairing:
     sign pencil and the bivariate discriminant.
     """
     if q1.dim != q2.dim:
-        raise ValueError("dimension mismatch")
+        raise InputError("dimension mismatch")
     check_real_ellipsoid(q1)
     _check_nonempty(q2, definiteness(q2.a), "second surface")
     if q1 == q2:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .discrim import bezout_matrix, discriminant_param, multiple_zero_uni
-from .errors import DegeneracyError, NoPositiveRootError
+from .errors import DegeneracyError, InputError, NoPositiveRootError
 from .linalg import MatrixQ, VectorQ
 from .metrics import (
     ZVAR,
@@ -226,7 +226,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     0, and t_star is the smallest such parameter.
     """
     if x0.dim != fam.dim:
-        raise ValueError("point dimension mismatch")
+        raise InputError("point dimension mismatch")
     r = _point_residual(fam, x0)
     if r:
         t_cross = _first_crossing(r, fam.interval, bits)

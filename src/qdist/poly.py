@@ -1026,6 +1026,27 @@ class NodeValues:
                 )
 
 
+# modulus of interpolate_verified's pole-order screen (the Mersenne prime 2^61 - 1)
+SCREEN_PRIME = (1 << 61) - 1
+
+
+def _residue(v):
+    """The rational v modulo SCREEN_PRIME, or None when that divides its denominator."""
+    d = den(v) % SCREEN_PRIME
+    if not d:
+        return None
+    return num(v) * pow(d, -1, SCREEN_PRIME) % SCREEN_PRIME
+
+
+def _exact_tables(nodes, values, k, width, var):
+    """Newton tables, one per component, of t^k * value(t) over the nodes."""
+    tables = [NewtonInterp(var) for _ in range(width)]
+    for t, y in zip(nodes, values):
+        for j, it in enumerate(tables):
+            it.add_point(t, _entry(y, j) * t**k)
+    return tables
+
+
 def interpolate_verified(compute, bound: int, var="x", max_pole_order: int = 0):
     """Exact polynomial recovered from an exact function of one rational.
 
@@ -1033,34 +1054,69 @@ def interpolate_verified(compute, bound: int, var="x", max_pole_order: int = 0):
     node. Its values are rationals, or tuples of rationals that are
     interpolated componentwise (a list of polynomials is returned; short
     tuples are padded with zeros).
-    One pass over the valid nodes feeds t^k * value(t), for each pole order
-    k <= max_pole_order, to one Newton table per k and component, and stops
-    at the first node where every component of some k (the smallest on a
-    tie) has 3 vanishing last divided differences: its interpolant of the
-    earlier nodes matches exactly at those 3. With max_pole_order > 0 the
-    node 0, the possible pole, is never used. The bound is a guess: table k
-    is dropped after 2 * bound + k + 4 points (the bound doubled once, plus
-    3 verification nodes); with every table dropped, the function counts
-    as degenerate.
+    One pass over the valid nodes stops at the first node where, for some
+    pole order k <= max_pole_order (the smallest on a tie), every component
+    of t^k * value(t) has 3 vanishing last divided differences: its
+    interpolant of the earlier nodes matches exactly at those 3. With
+    max_pole_order > 0 the node 0, the possible pole, is never used. The
+    bound is a guess: order k is dropped after 2 * bound + k + 4 points (the
+    bound doubled once, plus 3 verification nodes); with every order
+    dropped, the function counts as degenerate.
+
+    The differences are screened modulo the prime SCREEN_PRIME: each order
+    keeps one table of residues per component, and only an order whose
+    residues pass gets exact Newton tables, built over the same nodes and
+    then kept up to date node by node. Exact differences that vanish also
+    vanish modulo the prime, so the order, node and polynomial returned are
+    those of exact tables for every order. A value whose denominator the
+    prime divides moves every order to exact tables. With max_pole_order = 0
+    there is nothing to screen: the exact tables start at the first node.
     """
-    tables = {k: [] for k in range(max_pole_order + 1)}
-    nodes = []
+    nodes, values, width = [], [], 0
+    # k -> residue tables; a single order would only fill its exact tables later
+    screens = {k: [] for k in range(max_pole_order + 1)} if max_pole_order else {}
+    exact = {} if max_pole_order else {0: []}  # k -> Newton tables
     for t, y in NodeValues(compute, skip_zero=max_pole_order > 0).points():
         row = _row(y)
-        for k, table in tables.items():
-            while len(table) < len(row):  # a new component: zero so far
-                table.append(NewtonInterp(var))
-                for x in nodes:
-                    table[-1].add_point(x, 0)
-            for j, it in enumerate(table):
-                it.add_point(t, _entry(y, j) * t**k)
+        residues = tuple(_residue(v) for v in row) if screens else ()
+        if None in residues:
+            for k in screens:
+                exact[k] = _exact_tables(nodes, values, k, width, var)
+            screens = {}
+        inverses = [pow(t - x, -1, SCREEN_PRIME) for x in reversed(nodes)] if screens else []
         nodes.append(t)
-        for table in tables.values():  # ascending k
-            if len(nodes) >= 3 and all(it.tail_is_zero(3) for it in table):
-                polys = [it.polynomial(drop=3) for it in table]
+        values.append(row)
+        width = max(width, len(row))
+        for k, table in screens.items():
+            while len(table) < len(row):  # a new component: zero so far
+                table.append(([0] * (len(nodes) - 1), [0] * (len(nodes) - 1)))
+            tk = pow(t, k, SCREEN_PRIME)
+            for j, (last, diffs) in enumerate(table):
+                new = [_entry(residues, j) * tk % SCREEN_PRIME]
+                for i, prev in enumerate(last):
+                    new.append((new[i] - prev) * inverses[i] % SCREEN_PRIME)
+                last[:] = new
+                diffs.append(new[-1])
+        for k, tables in exact.items():
+            while len(tables) < len(row):
+                tables.append(NewtonInterp(var))
+                for x in nodes[:-1]:
+                    tables[-1].add_point(x, 0)
+            for j, it in enumerate(tables):
+                it.add_point(t, _entry(y, j) * t**k)
+        for k in sorted(screens.keys() | exact.keys()):
+            if len(nodes) < 3:
+                break
+            if k in screens and not any(any(diffs[-3:]) for _, diffs in screens[k]):
+                del screens[k]
+                exact[k] = _exact_tables(nodes, values, k, width, var)
+            if k in exact and all(it.tail_is_zero(3) for it in exact[k]):
+                polys = [it.polynomial(drop=3) for it in exact[k]]
                 return polys if isinstance(y, tuple) else polys[0]
-        tables = {k: table for k, table in tables.items() if len(nodes) < 2 * bound + k + 4}
-        if not tables:
+        limit = len(nodes) - 2 * bound - 4
+        screens = {k: table for k, table in screens.items() if k > limit}
+        exact = {k: tables for k, tables in exact.items() if k > limit}
+        if not screens and not exact:
             break
     raise DegeneracyError(
         "interpolation-verification", "interpolated polynomial failed verification"

@@ -6,7 +6,7 @@ from qdist.discrim import quotient_basis_monomials
 from qdist.errors import DegeneracyError
 from qdist.linalg import MatrixQ, VectorQ, definiteness, determinant
 from qdist.metrics import Quadric, normalize
-from qdist.poly import BiPoly, UniPoly, divrem, field_gcd
+from qdist.poly import BiPoly, NewtonInterp, NodeValues, UniPoly, divrem, field_gcd
 from qdist.scalar import QQ, rational
 
 
@@ -256,3 +256,39 @@ class FractionNewtonInterp:
         for i in range(len(self.xs) - 2, -1, -1):
             acc = acc * UniPoly((-self.xs[i], 1), self.var) + self.diffs[i]
         return acc
+
+
+def table_per_order_interpolate(compute, bound, var="x", max_pole_order=0):
+    """``qdist.poly.interpolate_verified`` without the modular screen: an oracle.
+
+    Every node feeds t^k * value(t) to one exact Newton table per pole order
+    k and component; the first node where every component of some k (the
+    smallest on a tie) has 3 vanishing last divided differences returns its
+    interpolant of the earlier nodes. Same node stream, bounds and reason
+    codes.
+    """
+    def row_of(y):
+        return y if isinstance(y, tuple) else (y,)
+
+    tables = {k: [] for k in range(max_pole_order + 1)}
+    nodes = []
+    for t, y in NodeValues(compute, skip_zero=max_pole_order > 0).points():
+        row = row_of(y)
+        for k, table in tables.items():
+            while len(table) < len(row):
+                table.append(NewtonInterp(var))
+                for x in nodes:
+                    table[-1].add_point(x, 0)
+            for j, it in enumerate(table):
+                it.add_point(t, (row[j] if j < len(row) else 0) * t**k)
+        nodes.append(t)
+        for table in tables.values():
+            if len(nodes) >= 3 and all(it.tail_is_zero(3) for it in table):
+                polys = [it.polynomial(drop=3) for it in table]
+                return polys if isinstance(y, tuple) else polys[0]
+        tables = {k: table for k, table in tables.items() if len(nodes) < 2 * bound + k + 4}
+        if not tables:
+            break
+    raise DegeneracyError(
+        "interpolation-verification", "interpolated polynomial failed verification"
+    )

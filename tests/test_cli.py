@@ -288,7 +288,12 @@ def test_degeneracy_exit_3(tmp_path):
     assert rep["reason"] == "empty-surface"
 
 
-@pytest.mark.parametrize("fault", [ZeroDivisionError("division by zero"), AssertionError()])
+@pytest.mark.parametrize("fault", [
+    ZeroDivisionError("division by zero"),
+    AssertionError(),
+    # a ValueError raised while solving is a fault, not bad input
+    ValueError("inexact polynomial division"),
+])
 def test_unclassified_solver_fault_exit_3(tmp_path, monkeypatch, fault):
     def broken(*args):
         raise fault
@@ -350,6 +355,20 @@ def test_sweep_requires_grid(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(ELLIPSE_POINT))
     assert main(["sweep", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command, problem, extra, detail", [
+    ("intersect", _circle_family(), (), "intersect does not apply to family problems"),
+    ("family", ELLIPSE_POINT, (), "family command requires kind family-point"),
+    ("sweep", ELLIPSE_POINT, ("--grid=-3,3,-3,3,x",), "invalid literal for int()"),
+    ("sweep", ELLIPSE_POINT, ("--grid=-3,3,-3,1/0,3",), "zero denominator"),
+    ("sweep", ELLIPSE_POINT, ("--grid=-3,3,-3,3,1",), "steps must be at least 2"),
+], ids=["family-intersect", "family-kind", "grid-steps", "grid-bound", "grid-one-step"])
+def test_input_rejected_while_solving_exit_2(tmp_path, capsys, command, problem, extra, detail):
+    code, text = run(tmp_path, command, problem, *extra)
+    assert code == 2 and not text
+    err = json.loads(capsys.readouterr().err)
+    assert err["status"] == "error" and detail in err["detail"]
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -1,9 +1,14 @@
+import importlib.util
 import random
+from itertools import islice
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from helpers import FractionGradientReducer, fraction_bezout_rows, rand_poly, rand_rat
+from qdist import discrim
+from qdist.cli import ProblemFile
 from qdist.discrim import (
     bezout_matrix,
     bezout_matrix_biv,
@@ -18,7 +23,7 @@ from qdist.discrim import (
 from qdist.errors import DegeneracyError
 from qdist.linalg import MatrixQ, VectorQ, det_unipoly_matrix, rank, solve_linear
 from qdist.metrics import general_bipoly_at, normalize
-from qdist.poly import BiPoly, ParamPoly, RatFunc, UniPoly, divrem
+from qdist.poly import BiPoly, ParamPoly, RatFunc, UniPoly, divrem, integer_nodes
 from qdist.realroots import isolate_real_roots, refine
 from qdist.scalar import QQ
 
@@ -293,6 +298,59 @@ def test_integer_reducer_matches_fraction_oracle_on_pencils(pair):
     g1 = general_bipoly_at(q1, q2, 1) - g0
     for z in (QQ(1), QQ(-1), QQ(49, 4), BIG_Z):
         assert _matches_oracle(g0 + z * g1)
+
+
+def _workload_pencils(seeds, count):
+    """(g0, g1) of each general pair among the first problems of pair-family."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in seeds:
+        for problem in workloads.generate("pair-family", seed)[:count]:
+            if problem["kind"] == "quadric-quadric":
+                p = ProblemFile(problem)
+                g0 = general_bipoly_at(p.quadric, p.quadric2, 0)
+                yield g0, general_bipoly_at(p.quadric, p.quadric2, 1) - g0
+
+
+def test_multiplication_chain_matches_direct_oracle_on_workload_pencils():
+    # the nodes discriminant_biv_param visits first: 1, -1, 2, -2, ...
+    pencils = list(_workload_pencils((1, 2, 3), 6))
+    assert len(pencils) == 9
+    for g0, g1 in pencils:
+        for t in islice(integer_nodes(), 1, 21):
+            assert _matches_oracle(g0 + t * g1)
+
+
+def test_window_grows_to_the_direct_reduction_windows(monkeypatch):
+    # g = x1^4 + 2 x1 has no x2 partial: no window reduces x2 * g, so the
+    # window grows from the chain's 5 through the direct reduction's 8, 10
+    # and 12, and ends on the oracle's reason code
+    g = BiPoly.from_terms({(4, 0): 1, (1, 0): 2})
+    windows = []
+    reducer = discrim.GradientReducer
+    monkeypatch.setattr(discrim, "GradientReducer",
+                        lambda g, degree: windows.append(degree) or reducer(g, degree))
+    assert not _matches_oracle(g)
+    assert windows == [5, 8, 10, 12]
+    with pytest.raises(DegeneracyError) as exc:
+        bezout_matrix_biv(g)
+    assert exc.value.code == "gradient-reduction-unsolvable"
+
+
+@pytest.mark.parametrize("pair, monomials, partials",
+                         [("pair-family", 21, 12), ("criterion-5", 36, 20)])
+def test_chain_reduces_in_the_smallest_window(pair, monomials, partials, monkeypatch):
+    # N = 4 and N = 5: one echelon, of the smallest window, per matrix
+    q1, q2 = PENCIL_PAIRS[pair]
+    reducers = []
+    reducer = discrim.GradientReducer
+    monkeypatch.setattr(discrim, "GradientReducer",
+                        lambda g, degree: reducers.append(reducer(g, degree)) or reducers[-1])
+    bezout_matrix_biv(general_bipoly_at(q1, q2, 1))
+    (used,) = reducers
+    assert (used.dim, len(used.pivots)) == (monomials, partials)
 
 
 def test_discriminant_biv_trivial():

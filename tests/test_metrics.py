@@ -11,7 +11,7 @@ from helpers import (
 )
 from qdist import discrim
 from qdist.discrim import discriminant_param
-from qdist.errors import DegeneracyError
+from qdist.errors import DegeneracyError, InputError
 from qdist.linalg import (
     MatrixQ,
     VectorQ,
@@ -128,8 +128,21 @@ def test_centered_intersects_cases():
 
 
 def test_centered_intersects_requires_centered():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         centered_intersects(circle_at(3, 0), unit_circle())
+
+
+@pytest.mark.parametrize("solve", [solve_point, solve_variety, solve_centered, solve_general])
+def test_dimension_mismatch_is_an_input_error(solve):
+    e, v = axis_problem()
+    other = {
+        solve_point: VectorQ([1, 2]),
+        solve_variety: LinearVariety(MatrixQ.from_columns([[1, 0]])),
+        solve_centered: unit_circle(),
+        solve_general: circle_at(3, 0),
+    }[solve]
+    with pytest.raises(InputError):
+        solve(e, other)
 
 
 def test_general_intersects_cases():

@@ -4,7 +4,7 @@ import pytest
 
 from brute import brute_point_distance
 from helpers import rand_rat
-from qdist.errors import NoPositiveRootError
+from qdist.errors import InputError, NoPositiveRootError
 from qdist.linalg import MatrixQ, VectorQ
 from qdist.metrics import solve_point
 from qdist.parametric import (
@@ -187,5 +187,5 @@ def test_family_oracle_small_random():
 
 def test_family_dimension_mismatch():
     fam = QuadricFamily(a=[[1, 0], [0, 1]], b=[0, 0], interval=(0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         family_solve(fam, VectorQ([1, 2, 3]))

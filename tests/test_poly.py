@@ -10,6 +10,7 @@ from helpers import (
     fraction_squarefree_decomposition,
     rand_poly,
     sylvester_resultant,
+    table_per_order_interpolate,
 )
 from qdist import poly
 from qdist.errors import DegeneracyError
@@ -377,3 +378,78 @@ def test_interpolate_verified_evaluates_each_node_once():
     assert [t for t, _ in islice(values.points(), 3)] == [1, -1, -2]
     assert interpolate_verified(values, 2, "t", max_pole_order=4) == p
     assert 0 not in seen and len(seen) == len(set(seen))
+
+
+def _interpolate_both(compute, bound, max_k=0):
+    """interpolate_verified and the table-per-order oracle on the same function.
+
+    Returns (outcome, nodes evaluated) of each, the outcome being the result
+    or the DegeneracyError code.
+    """
+    out = []
+    for interp in (interpolate_verified, table_per_order_interpolate):
+        seen = []
+        try:
+            result = interp(lambda t: seen.append(t) or compute(t), bound, "t", max_k)
+        except DegeneracyError as exc:
+            result = exc.code
+        out.append((result, seen))
+    return out
+
+
+P_SCREEN = poly.SCREEN_PRIME
+
+
+@pytest.mark.parametrize("case", [
+    "pole-0", "pole-1", "pole-2", "pole-3", "tuple", "tuple-growing",
+    "shifted-by-p", "shifted-beyond-bound", "denominator-p", "denominator-p-later",
+    "over-bound",
+])
+def test_screen_matches_table_per_order_oracle(case):
+    p = UniPoly([5, -2, 0, 1, QQ(3, 7)], "t")  # nonzero at 0: the pole order is exact
+    t = UniPoly.x("t")
+    bound, max_k = 4, 6
+    if case.startswith("pole-"):
+        k = int(case[-1])
+        compute = lambda x: p.eval(x) / QQ(x) ** k
+    elif case == "tuple":
+        compute = lambda x: (p.eval(x), QQ(x, 3), p.eval(x) ** 2 / x**2)
+    elif case == "tuple-growing":
+        # trimmed coefficients: a short tuple at node 0, a shorter one at 2
+        compute = lambda x: UniPoly([1, x, x * (x - 2)], "z").coeffs
+        max_k = 0
+    elif case == "shifted-by-p":
+        # congruent to p modulo the prime: the screen passes at degree + 4
+        # nodes, the exact check rejects, and degree 7 is found later
+        q = p + P_SCREEN * t**7
+        compute = lambda x: q.eval(x) / x
+    elif case == "shifted-beyond-bound":
+        q = p + P_SCREEN * t**12
+        compute = q.eval
+    elif case == "denominator-p":
+        compute = lambda x: p.eval(x) / (P_SCREEN * x**2)
+    elif case == "denominator-p-later":
+        # node 1 is screened; node -1 is the first whose denominator is the prime
+        q = p + (t - 1) * t**5 / P_SCREEN
+        compute = lambda x: q.eval(x) / x
+    else:
+        q = p * t**9 + 1
+        compute = q.eval
+    (got, got_nodes), (want, want_nodes) = _interpolate_both(compute, bound, max_k)
+    assert got == want
+    assert got_nodes == want_nodes
+    if case in ("shifted-beyond-bound", "over-bound"):
+        assert got == "interpolation-verification"
+    else:
+        assert not isinstance(got, str)
+
+
+def test_screen_fills_exact_tables_for_the_passing_order_only(monkeypatch):
+    # only order 2 passes the screen, so the exact tables see its nodes once
+    p = UniPoly([5, -2, 0, 1], "t")
+    calls = []
+    add_point = NewtonInterp.add_point
+    monkeypatch.setattr(NewtonInterp, "add_point",
+                        lambda self, x, y: calls.append(x) or add_point(self, x, y))
+    assert interpolate_verified(lambda x: p.eval(x) / x**2, 3, "t", max_pole_order=6) == p
+    assert len(calls) == p.degree + 4
