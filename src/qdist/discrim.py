@@ -32,9 +32,10 @@ from .poly import (
     NodeValues,
     ParamPoly,
     UniPoly,
+    _iderivative,
+    _int_resultant,
     divrem,
     interpolate_verified,
-    resultant,
 )
 from .scalar import QQ, int_clear
 
@@ -92,11 +93,13 @@ def discriminant_uni(g: UniPoly):
     N^N * lead(g)^N * det of the ``bezout_matrix`` remainder matrix, which
     is kept for recovering a multiple zero from its cofactors: multiplication
     by g modulo g' has determinant prod g(zeros of g'), and resultant(g', g)
-    contributes lead(g')^deg(g) = (N*lead)^N.
+    contributes lead(g')^deg(g) = (N*lead)^N. With g = content * a over the
+    integers it is content^(2N - 1) times the integer resultant(a, a').
     """
     if g.degree < 2:
         raise ValueError("degree must be at least 2")
-    return resultant(g, g.derivative())
+    content, a = int_clear(g.coeffs)
+    return content ** (2 * g.degree - 1) * _int_resultant(a, _iderivative(a))
 
 
 def _cofactor_ratios(data: BezoutData, count: int):

@@ -9,10 +9,11 @@ exact division), which the elimination constructions rely on.
 from __future__ import annotations
 
 from itertools import islice
+from math import lcm
 
 from .errors import SingularMatrixError
-from .poly import UniPoly, integer_nodes, interpolate
-from .scalar import QQ, RAT_TYPE, is_rational, rational
+from .poly import UniPoly, _ieval, integer_nodes, interpolate
+from .scalar import QQ, RAT_TYPE, den, is_rational, num, rational
 
 
 def _coerce_entry(c):
@@ -298,18 +299,12 @@ def determinant(m: MatrixQ):
         raise ValueError("determinant of a non-square matrix")
     if all(isinstance(c, RAT_TYPE) for row in m.entries for c in row):
         # clear denominators row-wise, integer Bareiss, undo scaling
-        import math
-
-        scale = QQ(1)
-        rows = []
+        scale, rows = 1, []
         for row in m.entries:
-            ld = 1
-            for c in row:
-                d = int(c.denominator)
-                ld = ld * d // math.gcd(ld, d)
-            scale = scale * ld
-            rows.append([int(c.numerator) * (ld // int(c.denominator)) for c in row])
-        return QQ(_det_bareiss_int(rows)) / scale
+            l = lcm(*(den(c) for c in row))
+            scale *= l
+            rows.append([num(c) * (l // den(c)) for c in row])
+        return QQ(_det_bareiss_int(rows), scale)
     return _det_generic(m.entries)
 
 
@@ -467,22 +462,21 @@ def _node_points(f, degree: int):
 
 
 def det_unipoly_matrix(entries, var="x") -> UniPoly:
-    """Determinant of a square matrix of UniPoly/scalar entries."""
-    rows = []
-    bound = 0
+    """Determinant of a square matrix of UniPoly/scalar entries.
+
+    Each row is cleared of denominators once, so a node is integer Horner
+    evaluations and an integer Bareiss determinant, divided by the scales.
+    """
+    scale, ints, bound = 1, [], 0
     for row in entries:
-        prow = []
-        rowdeg = 0
-        for c in row:
-            if not isinstance(c, UniPoly):
-                c = UniPoly.const(c, var)
-            prow.append(c)
-            rowdeg = max(rowdeg, max(c.degree, 0))
-        bound += rowdeg
-        rows.append(prow)
+        row = [c if isinstance(c, UniPoly) else UniPoly.const(c, var) for c in row]
+        bound += max(max(c.degree, 0) for c in row)
+        l = lcm(*(den(x) for c in row for x in c.coeffs))
+        scale *= l
+        ints.append([[num(x) * (l // den(x)) for x in c.coeffs] for c in row])
 
     def det_at(t):
-        return determinant(MatrixQ([[c.eval(t) for c in row] for row in rows]))
+        return QQ(_det_bareiss_int([[_ieval(e, t) for e in row] for row in ints]), scale)
 
     return interpolate(_node_points(det_at, bound), var)
 
@@ -491,23 +485,18 @@ def det_bipoly_matrix(entries, vars=("x1", "x2")):
     """Determinant of a square matrix of BiPoly/scalar entries, as a BiPoly."""
     from .poly import BiPoly
 
-    rows = []
-    b1 = b2 = 0
+    scale, ints, b1, b2 = 1, [], 0, 0
     for row in entries:
-        prow = []
-        r1 = r2 = 0
-        for c in row:
-            if not isinstance(c, BiPoly):
-                c = BiPoly.const(c, vars)
-            prow.append(c)
-            r1 = max(r1, max(c.deg1, 0))
-            r2 = max(r2, max(c.deg2, 0))
-        b1 += r1
-        b2 += r2
-        rows.append(prow)
+        row = [c if isinstance(c, BiPoly) else BiPoly.const(c, vars) for c in row]
+        b1 += max(max(c.deg1, 0) for c in row)
+        b2 += max(max(c.deg2, 0) for c in row)
+        l = lcm(*(den(x) for c in row for r in c.coeffs for x in r))
+        scale *= l
+        ints.append([[[num(x) * (l // den(x)) for x in r] for r in c.coeffs] for c in row])
 
     def det_at(t1, t2):
-        return determinant(MatrixQ([[c.eval(t1, t2) for c in row] for row in rows]))
+        values = [[_ieval([_ieval(r, t2) for r in e], t1) for e in row] for row in ints]
+        return QQ(_det_bareiss_int(values), scale)
 
     # interpolate in var2 for each var1 node, then in var1 coefficientwise
     polys_at_node1 = _node_points(

@@ -10,6 +10,7 @@ rationally from the pencil's multiple zero.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -40,8 +41,8 @@ from .poly import BiPoly, ParamPoly, UniPoly
 from .realroots import (
     MIXED_OR_ZERO,
     NO_REAL_ROOTS,
+    IsolatingInterval,
     isolate_real_roots,
-    positive_roots,
     refine_interval,
     root_signs_summary,
 )
@@ -545,19 +546,21 @@ def centered_distance_poly(q1: Quadric, q2: Quadric) -> UniPoly:
     return _finalize_distance_poly(f)
 
 
-def _general_raw(q1: Quadric, q2: Quadric) -> UniPoly:
-    n = q1.dim
-    expected = n + 2
-    bound = 2 * n * (n + 1) + 2 * n * n
-
+def general_z_pencil(q1: Quadric, q2: Quadric):
     # z enters general_bipoly_at only as mu1*mu2*z in the corner entry, so
-    # the determinant is affine in z: build it twice, not once per node
+    # the determinant is g0 + z*g1: two builds serve every node and recovery
     g0 = general_bipoly_at(q1, q2, 0)
-    g1 = general_bipoly_at(q1, q2, 1) - g0
-    return discriminant_biv_param(lambda z: g0 + z * g1, expected, bound, var=ZVAR)
+    return g0, general_bipoly_at(q1, q2, 1) - g0
 
 
-def general_distance_poly_full(q1: Quadric, q2: Quadric):
+def _general_raw(q1: Quadric, q2: Quadric, pencil=None) -> UniPoly:
+    n = q1.dim
+    g0, g1 = pencil() if pencil else general_z_pencil(q1, q2)
+    bound = 2 * n * (n + 1) + 2 * n * n
+    return discriminant_biv_param(lambda z: g0 + z * g1, n + 2, bound, var=ZVAR)
+
+
+def general_distance_poly_full(q1: Quadric, q2: Quadric, pencil=None):
     """(F(z), extraneous square factor) for two quadrics in general position.
 
     The two-multiplier discriminant carries, on top of the critical values of
@@ -565,11 +568,12 @@ def general_distance_poly_full(q1: Quadric, q2: Quadric):
     degree dim*(dim-1). It is recognized by exactly that signature in the
     square-free decomposition and divided out; when the signature is absent
     (coincident genuine double zeros) the raw polynomial is returned intact
-    and candidate validation downstream copes with it.
+    and candidate validation downstream copes with it. ``pencil()``, when
+    given, returns the pair's ``general_z_pencil``, so a caller can keep it.
     """
     from .poly import squarefree_decomposition
 
-    raw = _finalize_distance_poly(_general_raw(q1, q2))
+    raw = _finalize_distance_poly(_general_raw(q1, q2, pencil))
     n = q1.dim
     m = trailing_z_power(raw)
     body = UniPoly(raw.coeffs[m:], raw.var) if m else raw
@@ -706,10 +710,13 @@ def centered_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128):
     return x, y, {"lam": lam, "pencil_residuals": residuals}
 
 
-def general_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128):
-    """Nearest points for general quadrics via the two recovered multipliers."""
+def general_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128, pencil=None):
+    """Nearest points for general quadrics via the two recovered multipliers.
+
+    ``pencil`` is the pair's ``general_z_pencil`` when the caller holds it.
+    """
     z_hat = snap(z_hat, bits)
-    g = general_bipoly_at(q1, q2, z_hat)
+    g = general_bipoly_at(q1, q2, z_hat) if pencil is None else pencil[0] + z_hat * pencil[1]
     data = bezout_matrix_biv(g)
     mu1, mu2 = multiple_zero_biv(data, strict=False)
     mu1 = snap(mu1, bits)
@@ -762,14 +769,11 @@ class Pairing:
     centre: VectorQ | None = None
 
 
-def _positive_roots_info(f: UniPoly, bits: int):
-    infos = []
-    for iv in positive_roots(f):
-        r = refine_interval(iv, bits)
-        val = r.lo if r.exact else (r.lo + r.hi) / 2
-        err = QQ(0) if r.exact else r.width / 2
-        infos.append(RootInfo(val, err, iv.multiplicity))
-    return infos
+def _root_info(r: IsolatingInterval) -> RootInfo:
+    """A refined zero as (value, error, multiplicity)."""
+    if r.exact:
+        return RootInfo(r.lo, QQ(0), r.multiplicity)
+    return RootInfo(r.midpoint, r.width / 2, r.multiplicity)
 
 
 def _distance_fields(report: DistanceReport, z_info: RootInfo, bits: int):
@@ -816,9 +820,9 @@ def _solve_pipeline(pairing: Pairing, bits) -> DistanceReport:
     f = pairing.distance_poly()
     report.fz = f
     report.extraneous_z_power = trailing_z_power(f)
-    report.positive_zeros = _positive_roots_info(f, bits)
-    if not report.positive_zeros:
-        raise NoPositiveRootError()
+    report.positive_zeros = [
+        _root_info(refine_interval(iv, bits)) for iv in isolate_real_roots(f, positive=True)
+    ]
     return _finish_with_recovery(pairing, bits)
 
 
@@ -1043,8 +1047,10 @@ def general_pairing(q1: Quadric, q2: Quadric) -> Pairing:
             "sign pencil has no real zeros; classified as non-intersecting"
         )
 
+    pencil = functools.cache(lambda: general_z_pencil(q1, q2))  # F builds, recovery reads
+
     def distance_poly():
-        f, square = general_distance_poly_full(q1, q2)
+        f, square = general_distance_poly_full(q1, q2, pencil)
         if square is not None and square.degree > 0:
             report.warnings.append(
                 "extraneous square factor removed from the distance polynomial"
@@ -1055,7 +1061,7 @@ def general_pairing(q1: Quadric, q2: Quadric) -> Pairing:
     return Pairing(
         report,
         distance_poly,
-        lambda z_hat, bits: general_nearest_points(q1, q2, z_hat, bits),
+        lambda z_hat, bits: general_nearest_points(q1, q2, z_hat, bits, pencil()),
         first=q1,
         other=q2,
     )
@@ -1065,7 +1071,7 @@ def solve_general(q1: Quadric, q2: Quadric, bits: int = 128) -> DistanceReport:
     return _solve_pipeline(general_pairing(q1, q2), bits)
 
 
-def _finish_with_recovery(pairing: Pairing, bits):
+def _finish_with_recovery(pairing: Pairing, bits, zeros=None):
     """Select the squared distance among the positive zeros, ascending.
 
     Each candidate must support nearest-point recovery with real points whose
@@ -1073,12 +1079,14 @@ def _finish_with_recovery(pairing: Pairing, bits):
     zeros that fail (extraneous-factor roots, or complex critical pairs) are
     skipped with a note; a multiple minimal zero is never skipped silently:
     it stays the headline value with the first validated zero alongside.
+    ``zeros``, the report's positive zeros by default, may be lazy: it is
+    read only up to the zero that validates.
     """
     report = pairing.report
-    z0 = report.positive_zeros[0]
-    chosen = None
+    chosen = z0 = None
     skipped = []
-    for cand in report.positive_zeros:
+    for cand in report.positive_zeros if zeros is None else zeros:
+        z0 = z0 or cand
         try:
             x, y, info = pairing.recover(cand.value, bits)
             pairs = [(x, y)]
@@ -1097,6 +1105,8 @@ def _finish_with_recovery(pairing: Pairing, bits):
             continue
         chosen = cand
         break
+    if z0 is None:
+        raise NoPositiveRootError()
     failures = [
         f"recovery at zero ~{float(cand.value):.9g} failed: {code}"
         for cand, code in skipped

@@ -4,7 +4,9 @@ The distance surface F(z, t) collects, for every family member, the
 point-to-member distance polynomial. Its discriminant in t (the iterated
 discriminant) together with the interval-endpoint specializations yields the
 candidate squared distances; candidates are validated by stationarity
-residuals and by re-solving the winning member before acceptance.
+residuals, and the nearest point comes from the winning member's own F.
+Candidate zeros are compared by their brackets, refined only as far as that
+needs, and to the full precision only when their value is read.
 """
 
 from __future__ import annotations
@@ -19,14 +21,18 @@ from .metrics import (
     DistanceReport,
     RootInfo,
     _distance_fields,
+    _finish_with_recovery,
+    _root_info,
     _scaled_pencil_residuals,
     bordered_point_pencil,
     normalize,
-    solve_point,
+    point_pairing,
 )
 from .poly import BiPoly, UniPoly, interpolate_verified
 from .realroots import (
+    IsolatingInterval,
     count_roots,
+    holds_root,
     isolate_real_roots,
     positive_roots,
     refine,
@@ -176,12 +182,47 @@ def family_distance_poly(
     return big_f.normalized(), fa, fb
 
 
+class _Zero:
+    """A zero held by its bracket and refined only as far as it is read.
+
+    Refining on from the current bracket follows the bisection path that
+    refining the isolating interval would, so it reaches the same brackets.
+    """
+
+    def __init__(self, iv: IsolatingInterval):
+        self.origin = self.iv = iv
+        self.bits = -1
+
+    def at(self, bits: int) -> IsolatingInterval:
+        if self.bits < bits:
+            self.iv, self.bits = refine_interval(self.iv, bits), bits
+        return self.iv
+
+    def value(self, bits: int):
+        iv = self.at(bits)
+        return iv.lo if iv.exact else iv.midpoint
+
+
+def _below(x: _Zero, y: _Zero, bits: int) -> bool:
+    """x.value(bits) < y.value(bits), refining both only until they separate."""
+    for width in (-1, bits // 4, bits):
+        a, b = x.at(width), y.at(width)
+        if a.exact and b.exact:
+            break
+        if a.hi <= b.lo:
+            return True
+        if b.hi <= a.lo:
+            return False
+    return x.value(bits) < y.value(bits)
+
+
 @dataclass
 class _Candidate:
-    z: object
+    zero: _Zero  # gives z at the full precision
     source: str  # "interior", "endpoint-a", "endpoint-b"
     multiplicity: int
     t: object = None
+    member: _Zero | None = None  # first zero of the member's F, if refined
 
 
 def _point_residual(fam: QuadricFamily, x0: VectorQ) -> UniPoly:
@@ -260,63 +301,77 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     lo, hi = fam.interval or (QQ(0), QQ(0))
     endpoints = []
     for poly, label, t_end in ((fa, "endpoint-a", lo), (fb, "endpoint-b", hi)):
-        if poly is None or not poly:
-            continue
-        roots = positive_roots(poly)
-        if roots:
-            iv = roots[0]
-            endpoints.append(_Candidate(refine(iv, bits), label, iv.multiplicity, t_end))
-    endpoints.sort(key=lambda c: c.z)  # stable: endpoint a first on a tie
-    interior = []
-    if big_f is not None:
-        interior = [iv for iv in positive_roots(big_f) if iv.multiplicity == 1]
-    if not interior and not endpoints:
-        raise NoPositiveRootError(
-            "no positive candidate zero: point appears enclosed by every member"
-        )
-    # interior zeros ascend in isolation order; each is refined only when it
-    # is next to be tried, and yields to an endpoint zero strictly below it
-    best = None
+        iv = next(positive_roots(poly), None) if poly else None
+        if iv is not None:
+            end = _Zero(iv)  # also the first zero of the member's own F
+            endpoints.append(_Candidate(end, label, iv.multiplicity, t_end, end))
+    if len(endpoints) == 2 and _below(endpoints[1].zero, endpoints[0].zero, bits):
+        endpoints.reverse()  # endpoint a first on a tie
+    interior = positive_roots(big_f) if big_f is not None else ()
+    # interior zeros are isolated ascending, each only when it is next to be
+    # tried, and yield to an endpoint zero strictly below them
+    best = zero = None
     for iv in interior:
-        z_hat = refine(iv, bits)
-        if endpoints and endpoints[0].z < z_hat:
+        if iv.multiplicity != 1:
+            continue
+        zero = _Zero(iv)
+        if endpoints and _below(endpoints[0].zero, zero, bits):
             break
-        best = _validate_interior(fam, x0, surface, z_hat, bits)
+        best = _validate_interior(fam, x0, surface, zero, bits)
         if best is not None:
             break
         report.warnings.append(
-            f"interior zero ~{float(z_hat):.9g} failed stationarity validation"
+            f"interior zero ~{float(zero.value(bits)):.9g} failed stationarity validation"
         )
     if best is None and endpoints:
         best = endpoints[0]
     if best is None:
         raise NoPositiveRootError(
-            "no candidate zero passed validation"
+            "no candidate zero passed validation" if zero else
+            "no positive candidate zero: point appears enclosed by every member"
         )
-    _distance_fields(report, RootInfo(best.z, QQ(1, 1 << bits), best.multiplicity), bits)
+    z_info = RootInfo(best.zero.value(bits), QQ(1, 1 << bits), best.multiplicity)
+    _distance_fields(report, z_info, bits)
     report.t_star = best.t
     if best.source == "interior":
         report.certificate["branch"] = "interior-stationary"
     else:
         report.certificate["branch"] = best.source
-    # nearest point on the winning member
+    # nearest point on the winning member, as solve_point would find it
     try:
-        member = fam.member(best.t)
-        sub = solve_point(member, x0, bits)
-        if sub.nearest_pairs:
-            report.nearest_pairs = sub.nearest_pairs
-            report.multipliers = sub.multipliers
-    except (DegeneracyError, ValueError, NoPositiveRootError) as exc:
+        pairing = point_pairing(fam.member(best.t), x0)
+        if not pairing.report.intersecting:
+            zeros = _member_zeros(pairing.distance_poly(), best.member, bits)
+            sub = _finish_with_recovery(pairing, bits, zeros)
+            if sub.nearest_pairs:
+                report.nearest_pairs = sub.nearest_pairs
+                report.multipliers = sub.multipliers
+    except (DegeneracyError, ValueError) as exc:
         report.warnings.append(f"nearest point on winning member unavailable: {exc}")
     return report
 
 
-def _validate_interior(fam, x0, surface, z_hat, bits):
+def _member_zeros(f: UniPoly, known: _Zero | None, bits):
+    """RootInfo of f's positive zeros, ascending, each refined when it is read.
+
+    A zero isolated by ``known.origin`` whose factor has its root in
+    ``known``'s bracket too refines on from that bracket, which is on its path.
+    """
+    for iv in positive_roots(f):
+        if known is not None and iv == known.origin:
+            a, b = known.iv.lo, known.iv.hi
+            if holds_root(iv.poly, a, b):
+                iv = IsolatingInterval(a, b, iv.multiplicity, iv.poly)
+        yield _root_info(refine_interval(iv, bits))
+
+
+def _validate_interior(fam, x0, surface, zero: _Zero, bits):
     """Check an interior candidate: recover t, test stationarity and attainment.
 
     Works with snapped (small-denominator) stand-ins for the refined values;
     the induced residual error stays orders of magnitude below the gate.
     """
+    z_hat = zero.value(bits)
     tol = tolerance(bits)
     z_snap = snap(z_hat, bits)
     f_at_z = surface.eval_var(0, z_snap)  # polynomial in t
@@ -341,9 +396,10 @@ def _validate_interior(fam, x0, surface, z_hat, bits):
     if not member_poly:
         return None
     try:
-        roots = positive_roots(member_poly)
+        first = next(positive_roots(member_poly), None)
     except (ValueError, AssertionError):
         return None
-    if roots and refine(roots[0], bits // 2) < z_hat - tolerance(bits // 2):
+    member = None if first is None else _Zero(first)
+    if member is not None and member.value(bits // 2) < z_hat - tolerance(bits // 2):
         return None  # a smaller positive zero: z_hat is a far branch
-    return _Candidate(z_hat, "interior", 1, t_hat)
+    return _Candidate(zero, "interior", 1, t_hat, member)

@@ -7,7 +7,9 @@ decomposition, which Yun's algorithm computes over the integers with the
 root at 0 stripped first. Isolation bisects intervals in the manner of
 Vincent, Collins and Akritas: each interval carries the product of the
 square-free factors mapped onto (0, 1) as an integer polynomial, and
-Descartes' rule of signs counts its roots there.
+Descartes' rule of signs counts its roots there. The tree is walked left
+half first, so the roots come ascending and lazily: a caller that takes the
+first positive root alone isolates that root alone, and no negative one.
 
 Every isolating interval keeps the one square-free factor that holds its
 root, with integer coefficients, so refinement computes no square-free part
@@ -97,35 +99,39 @@ def _halve(q):
 
 
 def _shift_by_one(q):
-    """q(y + 1), by the Taylor shift of repeated synthetic division."""
+    """q(y + 1)'s coefficients, ascending, each once a synthetic division fixes it."""
     q = list(q)
     n = len(q) - 1
     for i in range(n):
         for k in range(n - 1, i - 1, -1):
             q[k] += q[k + 1]
-    return q
+        yield q[i]
+    yield q[n]
 
 
 def _descartes(q):
-    """Sign variations of (y + 1)^n q(1/(y + 1)).
+    """Sign variations of (y + 1)^n q(1/(y + 1)), counted up to 2.
 
     Descartes' rule of signs bounds the number of q's roots in (0, 1),
     counted with multiplicity, by this number and matches its parity; a
-    count of 0 or 1 is therefore exact.
+    count of 0 or 1 is therefore exact, and 2 stands for 2 or more, so the
+    shift stops at the second variation.
     """
     count = prev = 0
     for c in _shift_by_one(q[::-1]):
         if c:
             if prev and (c > 0) != (prev > 0):
                 count += 1
+                if count == 2:
+                    break
             prev = c
     return count
 
 
-def _split(q):
-    """(left half, right half) of q on (0, 1); right[0] == 0 iff q(1/2) == 0."""
-    left = _halve(q)
-    return left, _shift_by_one(left)
+def holds_root(f: UniPoly, lo, hi) -> bool:
+    """Whether f has a root in the bracket: at lo == hi, or strictly inside."""
+    a, b = f.eval(lo), f.eval(hi)
+    return not a if lo == hi else bool(a and b and (a > 0) != (b > 0))
 
 
 def _count_roots(q):
@@ -136,7 +142,8 @@ def _count_roots(q):
     count = _descartes(q)
     if count < 2:
         return count
-    left, right = _split(q)
+    left = _halve(q)
+    right = list(_shift_by_one(left))
     if right[0]:
         return _count_roots(left) + _count_roots(right)
     return _count_roots(left) + 1 + _count_roots(right[1:])
@@ -161,22 +168,28 @@ def _isolate_squarefree(s: UniPoly, lo, hi):
 
     Requires s(lo) != 0 and s(hi) != 0. Each interval carries s mapped onto
     (0, 1) as an integer polynomial, whose Descartes count decides whether
-    the interval is dropped, kept or halved.
+    the interval is dropped, kept or halved. The tree is walked left half
+    first, so the intervals come ascending, and a subtree is bisected only
+    once the intervals below it have been taken.
     """
     cs = int_clear(s.coeffs)[1]
-    out = []
-    stack = [(lo, hi, _unit_transform(cs, lo, hi))]
+    stack = [(lo, hi, _unit_transform(cs, lo, hi), False)]
     while stack:
-        a, b, q = stack.pop()
+        a, b, q, shift = stack.pop()
+        if q is None:  # an exact root at a midpoint, after the roots below it
+            yield a, a
+            continue
+        if shift:  # a right half, stretched only once it is taken
+            q = list(_shift_by_one(q))
         n = _descartes(q)
         if n == 0:
             continue
         if n == 1:
-            out.append((a, b))
+            yield a, b
             continue
         m = (a + b) / 2
-        left, right = _split(q)
-        if not right[0]:
+        left = _halve(q)
+        if not sum(left):  # q(1/2) == 0
             # exact root at the midpoint; carve out a root-free neighborhood
             delta = (b - a) / 4
             while True:
@@ -184,66 +197,64 @@ def _isolate_squarefree(s: UniPoly, lo, hi):
                     if _count_roots(_unit_transform(cs, m - delta, m + delta)) == 1:
                         break
                 delta = delta / 2
-            out.append((m, m))
-            stack.append((a, m - delta, _unit_transform(cs, a, m - delta)))
-            stack.append((m + delta, b, _unit_transform(cs, m + delta, b)))
+            stack.append((m + delta, b, _unit_transform(cs, m + delta, b), False))
+            stack.append((m, m, None, False))
+            stack.append((a, m - delta, _unit_transform(cs, a, m - delta), False))
         else:
-            stack.append((a, m, left))
-            stack.append((m, b, right))
-    return out
+            stack.append((m, b, left, True))
+            stack.append((a, m, left, False))
 
 
-def isolate_real_roots(p: UniPoly):
-    """Isolating intervals for all distinct real roots, sorted ascending."""
+def _ascending_roots(p: UniPoly, positive: bool):
+    """Isolating intervals of p's distinct real roots, ascending and lazy.
+
+    Each interval is isolated, collapsed and attributed only when it is
+    taken. With ``positive`` the negative ranges and the root 0 are skipped.
+    """
     if not p:
         raise ValueError("zero polynomial")
     if p.degree < 1:
-        return []
+        return
     zero_mult, int_factors = squarefree_factors(p)
     factors = [(UniPoly(f, p.var), k) for f, k in int_factors]
     # the root at zero is stripped, so every other interval has a fixed sign
     s_rest = UniPoly.const(1, p.var)
     for f, _ in factors:
         s_rest = s_rest * f
-    raw = []
+
+    def interval(a, bnd):
+        # collapse an interval whose root is a recognizable rational
+        if a != bnd:
+            cand = simplest_in_interval(a, bnd)
+            if cand != a and cand != bnd and not s_rest.eval(cand):
+                a = bnd = cand
+        # the root takes the multiplicity of the square-free factor that
+        # holds it, and keeps that factor: its only root in the bracket
+        for f, k in factors:
+            if holds_root(f, a, bnd):
+                return IsolatingInterval(a, bnd, k, f)
+        raise AssertionError("could not attribute a multiplicity")
+
+    ranges = []
     if s_rest.degree >= 1:
         b = root_bound(s_rest)
         eps = QQ(1)
         while not s_rest.eval(eps) or not s_rest.eval(-eps):
             eps = eps / 2
         # split at zero so every interval lies on one side of it
-        for lo, hi in ((-b, -eps), (-eps, QQ(0)), (QQ(0), eps), (eps, b)):
-            raw.extend(_isolate_squarefree(s_rest, lo, hi))
-    # collapse intervals whose root is a recognizable rational
-    refined = []
-    for a, bnd in raw:
-        if a == bnd:
-            refined.append((a, bnd))
-            continue
-        cand = simplest_in_interval(a, bnd)
-        if cand != a and cand != bnd and not s_rest.eval(cand):
-            refined.append((cand, cand))
-        else:
-            refined.append((a, bnd))
-    # each root takes the multiplicity of the square-free factor that holds
-    # it, and keeps that factor: its only root in the bracket is this one
-    out = []
-    if zero_mult:
-        out.append(IsolatingInterval(QQ(0), QQ(0), zero_mult, UniPoly.x(p.var)))
-    for a, bnd in refined:
-        for f, k in factors:
-            if a == bnd:
-                if not f.eval(a):
-                    break
-            else:
-                fa, fb = f.eval(a), f.eval(bnd)
-                if fa and fb and (fa > 0) != (fb > 0):
-                    break
-        else:
-            raise AssertionError("could not attribute a multiplicity")
-        out.append(IsolatingInterval(a, bnd, k, f))
-    out.sort(key=lambda iv: (iv.lo, iv.hi))
-    return out
+        ranges = [(-b, -eps), (-eps, QQ(0)), (QQ(0), eps), (eps, b)]
+    if not positive:
+        for lo, hi in ranges[:2]:
+            yield from (interval(*iv) for iv in _isolate_squarefree(s_rest, lo, hi))
+        if zero_mult:
+            yield IsolatingInterval(QQ(0), QQ(0), zero_mult, UniPoly.x(p.var))
+    for lo, hi in ranges[2:]:
+        yield from (interval(*iv) for iv in _isolate_squarefree(s_rest, lo, hi))
+
+
+def isolate_real_roots(p: UniPoly, positive: bool = False):
+    """Isolating intervals for the distinct (or only the positive) real roots, ascending."""
+    return list(_ascending_roots(p, positive))
 
 
 def _bisect(iv: IsolatingInterval, bits: int):
@@ -283,23 +294,15 @@ def refine_interval(iv: IsolatingInterval, bits: int) -> IsolatingInterval:
 
 
 def positive_roots(p: UniPoly):
-    """Isolating intervals of the positive real roots, ascending.
-
-    Intervals never straddle zero, so a bracket starting at 0 is positive
-    unless it is the exact root 0.
-    """
-    return [
-        iv for iv in isolate_real_roots(p)
-        if (iv.exact and iv.lo > 0) or (not iv.exact and iv.lo >= 0)
-    ]
+    """Isolating intervals of the positive real roots, ascending and lazy."""
+    return _ascending_roots(p, True)
 
 
 def min_positive_zero(p: UniPoly, bits: int = 128):
     """Smallest positive real root: (approximation, is_simple, multiplicity)."""
-    roots = positive_roots(p)
-    if not roots:
+    iv = next(positive_roots(p), None)
+    if iv is None:
         raise NoPositiveRootError()
-    iv = roots[0]
     return refine(iv, bits), iv.multiplicity == 1, iv.multiplicity
 
 

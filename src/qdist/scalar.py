@@ -86,14 +86,6 @@ def format_rational(q) -> str:
     return f"{num(q)}/{den(q)}"
 
 
-def ifloor(q) -> int:
-    return num(q) // den(q)
-
-
-def iceil(q) -> int:
-    return -((-num(q)) // den(q))
-
-
 def sqrt_lower(q, bits: int):
     """Largest k/(d*2^bits) whose square is <= q; error below 2^-bits."""
     q = rational(q)
@@ -127,7 +119,11 @@ def snap(value, bits: int):
 
 
 def simplest_in_interval(lo, hi):
-    """Rational with the smallest denominator inside the closed interval."""
+    """Rational with the smallest denominator inside the closed interval.
+
+    Each continued-fraction quotient f that both ends share maps [a/b, c/d]
+    to [1/(c/d - f), 1/(a/b - f)] and extends the convergents p/q.
+    """
     lo, hi = rational(lo), rational(hi)
     if hi < lo:
         lo, hi = hi, lo
@@ -135,14 +131,17 @@ def simplest_in_interval(lo, hi):
         return lo
     if lo <= 0 <= hi:
         return QQ(0)
+    sign = -1 if lo < 0 else 1
     if lo < 0:
-        return -simplest_in_interval(-hi, -lo)
-    c = iceil(lo)
-    if c <= hi:
-        return QQ(c)
-    f = ifloor(lo)
-    inner = simplest_in_interval(1 / (hi - f), 1 / (lo - f))
-    return f + 1 / inner
+        lo, hi = -hi, -lo
+    a, b, c, d = num(lo), den(lo), num(hi), den(hi)
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    while (-a // b) * -d > c:  # no integer in [a/b, c/d]
+        f = a // b
+        a, b, c, d = d, c - f * d, b, a - f * b
+        p0, p1, q0, q1 = p0 * f + p1, p0, q0 * f + q1, q0
+    k = -(-a // b)
+    return QQ(sign * (p0 * k + p1), q0 * k + q1)
 
 
 def decimal_str(q, digits: int = 30) -> str:

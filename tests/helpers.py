@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import math
+from pathlib import Path
+
 from qdist.discrim import quotient_basis_monomials
 from qdist.errors import DegeneracyError
 from qdist.linalg import MatrixQ, VectorQ, definiteness, determinant
@@ -95,6 +99,37 @@ def cofactor_expansion_det(m: MatrixQ):
         term = m.entry(0, j) * cofactor_expansion_det(sub)
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
+
+
+def fraction_simplest_in_interval(lo, hi):
+    """Simplest rational in the closed interval, by the recursive
+    continued-fraction rule on Fractions: an independent oracle."""
+    lo, hi = min(lo, hi), max(lo, hi)
+    if lo == hi:
+        return lo
+    if lo <= 0 <= hi:
+        return QQ(0)
+    if lo < 0:
+        return -fraction_simplest_in_interval(-hi, -lo)
+    c = math.ceil(lo)
+    if c <= hi:
+        return QQ(c)
+    f = math.floor(lo)
+    return f + 1 / fraction_simplest_in_interval(1 / (hi - f), 1 / (lo - f))
+
+
+def fraction_det_at(entries, *point):
+    """Cofactor-expansion determinant of a polynomial matrix at a point."""
+    return cofactor_expansion_det(MatrixQ([[e.eval(*point) for e in row] for row in entries]))
+
+
+def workload_problems(name: str, seed: int, count: int):
+    """The first ``count`` problems of a perfbench workload pool."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.generate(name, seed)[:count]
 
 
 def digits_tolerance(text: str):

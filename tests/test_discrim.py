@@ -1,12 +1,16 @@
-import importlib.util
 import random
 from itertools import islice
-from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from helpers import FractionGradientReducer, fraction_bezout_rows, rand_poly, rand_rat
+from helpers import (
+    FractionGradientReducer,
+    fraction_bezout_rows,
+    rand_poly,
+    rand_rat,
+    workload_problems,
+)
 from qdist import discrim
 from qdist.cli import ProblemFile
 from qdist.discrim import (
@@ -302,12 +306,8 @@ def test_integer_reducer_matches_fraction_oracle_on_pencils(pair):
 
 def _workload_pencils(seeds, count):
     """(g0, g1) of each general pair among the first problems of pair-family."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     for seed in seeds:
-        for problem in workloads.generate("pair-family", seed)[:count]:
+        for problem in workload_problems("pair-family", seed, count):
             if problem["kind"] == "quadric-quadric":
                 p = ProblemFile(problem)
                 g0 = general_bipoly_at(p.quadric, p.quadric2, 0)

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     cofactor_expansion_det,
+    fraction_det_at,
     rand_matrix,
     rand_pd_matrix,
     rand_rat,
@@ -182,3 +183,53 @@ def test_det_bipoly_matrix():
     b = BiPoly.variable(1, ("s", "t"))
     rows = [[a, b], [b, a]]
     assert det_bipoly_matrix(rows, ("s", "t")) == a * a - b * b
+
+
+def _rand_entry(rng, make):
+    # mostly polynomials with rational coefficients, some scalars and zeros
+    pick = rng.random()
+    if pick < 0.1:
+        return QQ(0)
+    if pick < 0.25:
+        return rand_rat(rng, -9, 9, 7)
+    return make()
+
+
+def test_det_unipoly_matrix_matches_fraction_determinants():
+    # the integer nodes of every row cleared once against Fraction
+    # determinants taken at rational points that are not nodes
+    rng = random.Random(2718)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+
+        def make():  # degree at most 2
+            return UniPoly([rand_rat(rng, -9, 9, 7) for _ in range(rng.randint(1, 3))], "s")
+
+        rows = [[_rand_entry(rng, make) for _ in range(n)] for _ in range(n)]
+        det = det_unipoly_matrix(rows, "s")
+        lifted = [[e if isinstance(e, UniPoly) else UniPoly.const(e, "s") for e in r] for r in rows]
+        assert det.degree <= 2 * n
+        for _ in range(2 * n + 2):
+            t = rand_rat(rng, -20, 20, 9)
+            assert det.eval(t) == fraction_det_at(lifted, t)
+
+
+def test_det_bipoly_matrix_matches_fraction_determinants():
+    rng = random.Random(3141)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+
+        def make():  # degree at most 1 in each variable
+            return BiPoly(
+                [[rand_rat(rng, -9, 9, 7) for _ in range(rng.randint(1, 2))]
+                 for _ in range(rng.randint(1, 2))],
+                ("u", "v"),
+            )
+
+        rows = [[_rand_entry(rng, make) for _ in range(n)] for _ in range(n)]
+        det = det_bipoly_matrix(rows, ("u", "v"))
+        lifted = [[e if isinstance(e, BiPoly) else BiPoly.const(e, ("u", "v")) for e in r]
+                  for r in rows]
+        for _ in range(12):
+            point = (rand_rat(rng, -20, 20, 9), rand_rat(rng, -20, 20, 9))
+            assert det.eval(*point) == fraction_det_at(lifted, *point)

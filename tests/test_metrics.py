@@ -29,7 +29,9 @@ from qdist.metrics import (
     general_distance_poly,
     general_distance_poly_full,
     general_intersects,
+    general_nearest_points,
     general_sign_pencil,
+    general_z_pencil,
     normalize,
     point_distance_poly,
     point_pencil,
@@ -530,10 +532,19 @@ def _criterion_5_ellipsoids():
 @pytest.mark.parametrize("pair", [_separated_ellipses, _criterion_5_ellipsoids])
 def test_general_bipoly_is_affine_in_z(pair):
     q1, q2 = pair()
-    g0 = general_bipoly_at(q1, q2, 0)
-    g1 = general_bipoly_at(q1, q2, 1) - g0
+    g0, g1 = general_z_pencil(q1, q2)
     for z in (0, 1, QQ(-3, 7), QQ(49, 4), 10**6):
         assert g0 + z * g1 == general_bipoly_at(q1, q2, z)
+
+
+def test_general_recovery_reads_the_pencil_of_f():
+    # solve_general recovers from the z-pencil that F was built from; a fresh
+    # build of the determinant at z* must give the same points and multipliers
+    q1, q2 = _separated_ellipses()
+    rep = solve_general(q1, q2)
+    x, y, info = general_nearest_points(q1, q2, rep.z_star.value)
+    assert (rep.nearest_pairs[0].x, rep.nearest_pairs[0].y) == (tuple(x), tuple(y))
+    assert rep.multipliers == info
 
 
 def test_general_raw_stops_three_nodes_past_the_degree(monkeypatch):

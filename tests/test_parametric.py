@@ -3,7 +3,8 @@ import random
 import pytest
 
 from brute import brute_point_distance
-from helpers import rand_rat
+from helpers import rand_rat, workload_problems
+from qdist.cli import ProblemFile
 from qdist.errors import InputError, NoPositiveRootError
 from qdist.linalg import MatrixQ, VectorQ
 from qdist.metrics import solve_point
@@ -189,3 +190,32 @@ def test_family_dimension_mismatch():
     fam = QuadricFamily(a=[[1, 0], [0, 1]], b=[0, 0], interval=(0, 1))
     with pytest.raises(InputError):
         family_solve(fam, VectorQ([1, 2, 3]))
+
+
+def _golden_family_cases():
+    # the family-endpoint and family-interior cases of test_report_golden
+    yield (
+        QuadricFamily(a=[[1, 0], [0, 1]], b=[-T, -2], c=T**2 + 3, interval=(0, 1)),
+        VectorQ([3, 2]),
+    )
+    yield moving_ellipse_family(), VectorQ([-10, 10])
+
+
+def _workload_families(seeds, count):
+    for seed in seeds:
+        for problem in workload_problems("pair-family", seed, count):
+            if problem["kind"] == "family-point":
+                p = ProblemFile(problem)
+                yield p.family, p.point
+
+
+def test_family_nearest_points_match_member_solve():
+    # the family recovers on the winning member's own F, refining its zeros
+    # only as recovery reaches them; solve_point on that member is the oracle
+    cases = list(_golden_family_cases()) + list(_workload_families((1, 2, 3), 6))
+    assert len(cases) == 11
+    for fam, x0 in cases:
+        rep = family_solve(fam, x0)
+        sub = solve_point(fam.member(rep.t_star), x0)
+        assert rep.nearest_pairs and rep.nearest_pairs == sub.nearest_pairs
+        assert rep.multipliers == sub.multipliers

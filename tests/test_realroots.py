@@ -13,6 +13,7 @@ from qdist.realroots import (
     IsolatingInterval,
     isolate_real_roots,
     min_positive_zero,
+    positive_roots,
     real_root_signs,
     refine,
     root_bound,
@@ -316,3 +317,56 @@ def test_factor_brackets_equal_product_brackets(k):
             mine = realroots.refine_interval(iv, bits)
             theirs = realroots.refine_interval(product, bits)
             assert (mine.lo, mine.hi) == (theirs.lo, theirs.hi)
+
+
+def _positive_part(roots):
+    return [iv for iv in roots if iv.lo > 0 or (not iv.exact and iv.lo >= 0)]
+
+
+def _midpoint_products(rng):
+    # the seeded products, and ones whose root bound puts a rational root on
+    # the first midpoint of (1, b), as in test_carve_around_root_at_midpoint
+    for _ in range(60):
+        yield _seeded_product(rng)[0]
+    for _ in range(20):
+        tail, _, _ = _seeded_product(rng)
+        p = (Z - 8) * (Z - QQ(3, 2)) * (Z**2 + 1)
+        yield p * tail if root_bound(squarefree_part(p * tail)) == 15 else p
+    yield (Z - 8) * (Z - QQ(3, 2)) * (Z**2 + 1) * (Z + 3) * Z**2
+
+
+def test_lazy_positive_roots_match_isolation():
+    rng = random.Random(909)
+    hits = 0
+    for p in _midpoint_products(rng):
+        whole = _positive_part(isolate_real_roots(p))
+        for lazy in (list(positive_roots(p)), isolate_real_roots(p, positive=True)):
+            assert lazy == whole
+            assert [iv.poly for iv in lazy] == [iv.poly for iv in whole]
+        hits += any(iv.exact and iv.lo == 8 for iv in whole)
+    assert hits
+
+
+def test_first_positive_root_runs_fewer_descartes_calls(monkeypatch):
+    p = (Z - 8) * (Z - QQ(3, 2)) * (Z**2 - 2) * (Z**2 - 7) * (Z**3 - 5 * Z - 1)
+    calls = []
+    descartes = realroots._descartes
+    monkeypatch.setattr(realroots, "_descartes", lambda q: calls.append(q) or descartes(q))
+    first = next(positive_roots(p))
+    first_calls = len(calls)
+    calls.clear()
+    every = list(positive_roots(p))
+    assert first == every[0] and len(every) > 3
+    assert 0 < first_calls < len(calls)
+
+
+def test_descartes_count_stops_at_two():
+    # the count is exact below 2, and any larger count reads 2
+    rng = random.Random(4)
+    for _ in range(200):
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(2, 12))]
+        if not q[-1]:
+            continue
+        signs = [c > 0 for c in realroots._shift_by_one(q[::-1]) if c]
+        full = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        assert realroots._descartes(q) == min(full, 2)
