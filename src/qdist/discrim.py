@@ -4,6 +4,11 @@ Univariate: the value is resultant(g, g'), by the integer subresultant
 sequence. Row l of the remainder matrix holds the coefficients of
 x^l * g(x) modulo g'(x); N^N * lead(g)^N times its determinant is the same
 value, and the cofactors of the last row locate a unique multiple zero.
+That matrix is the paper's construction and stays the reference; a
+multiple zero is read, where it can be, off the first subresultant
+s1 * x + s0 of (g, g') instead, which the same integer sequence computes:
+-s0 / s1 equals the ratio of those cofactors, with g's multiple zero exact
+or only approximate.
 
 Bivariate: row m of the analogue holds the coefficients of x^m * g over a
 fixed basis of (N-1)^2 power products x^m, after reduction modulo the ideal
@@ -26,12 +31,13 @@ import math
 from itertools import islice
 
 from .errors import DegeneracyError
-from .linalg import MatrixQ, char_poly, determinant
+from .linalg import MatrixQ, _det_bareiss_int, char_poly, determinant
 from .poly import (
     BiPoly,
     NodeValues,
     ParamPoly,
     UniPoly,
+    _first_subresultant,
     _iderivative,
     _int_resultant,
     divrem,
@@ -41,18 +47,37 @@ from .scalar import QQ, int_clear
 
 
 class BezoutData:
-    """Remainder-coefficient matrix plus the cofactor data derived from it."""
+    """Remainder-coefficient matrix plus the cofactor data derived from it.
 
-    def __init__(self, matrix: MatrixQ, size: int, source=None):
-        self.matrix = matrix
+    The bivariate matrix comes as ``scaled_rows``, each a rational scale and
+    a primitive integer row: its determinant is the product of the scales
+    times an integer Bareiss determinant, and the rational matrix is built
+    only when it is read, for cofactors or a characteristic polynomial.
+    """
+
+    def __init__(self, matrix: MatrixQ | None, size: int, source=None, scaled_rows=None):
+        self._matrix = matrix
+        self.scaled_rows = scaled_rows
         self.size = size
         self.source = source
         self._det = None
 
     @property
+    def matrix(self) -> MatrixQ:
+        if self._matrix is None:
+            self._matrix = MatrixQ([[scale * c for c in ints] for scale, ints in self.scaled_rows])
+        return self._matrix
+
+    @property
     def det(self):
         if self._det is None:
-            self._det = determinant(self.matrix)
+            if self.scaled_rows is None:
+                self._det = determinant(self.matrix)
+            else:
+                scale = QQ(1)
+                for factor, _ in self.scaled_rows:
+                    scale *= factor
+                self._det = scale * _det_bareiss_int([ints for _, ints in self.scaled_rows])
         return self._det
 
     def _cofactor(self, i, j):
@@ -86,20 +111,23 @@ def bezout_matrix(g: UniPoly) -> BezoutData:
     return BezoutData(MatrixQ(rows), n - 1, source=g)
 
 
-def discriminant_uni(g: UniPoly):
+def discriminant_uni(g):
     """Discriminant of g: resultant(g, g'), by the integer subresultant PRS.
 
-    Vanishes exactly when g has a multiple complex zero. It equals
-    N^N * lead(g)^N * det of the ``bezout_matrix`` remainder matrix, which
-    is kept for recovering a multiple zero from its cofactors: multiplication
-    by g modulo g' has determinant prod g(zeros of g'), and resultant(g', g)
-    contributes lead(g')^deg(g) = (N*lead)^N. With g = content * a over the
-    integers it is content^(2N - 1) times the integer resultant(a, a').
+    g is a UniPoly, or its ascending integer coefficients with a nonzero
+    last entry. Vanishes exactly when g has a multiple complex zero. It
+    equals N^N * lead(g)^N * det of the ``bezout_matrix`` remainder matrix:
+    multiplication by g modulo g' has determinant prod g(zeros of g'), and
+    resultant(g', g) contributes lead(g')^deg(g) = (N*lead)^N. With
+    g = content * a over the integers it is content^(2N - 1) times the
+    integer resultant(a, a').
     """
-    if g.degree < 2:
+    coeffs = g.coeffs if isinstance(g, UniPoly) else g
+    n = len(coeffs) - 1
+    if n < 2:
         raise ValueError("degree must be at least 2")
-    content, a = int_clear(g.coeffs)
-    return content ** (2 * g.degree - 1) * _int_resultant(a, _iderivative(a))
+    content, a = int_clear(coeffs)
+    return content ** (2 * n - 1) * _int_resultant(a, _iderivative(a))
 
 
 def _cofactor_ratios(data: BezoutData, count: int):
@@ -149,6 +177,26 @@ def multiple_zero_uni(data: BezoutData, strict: bool = True):
         dg = g.derivative()
         return -dg.coeff(0) / dg.coeff(1)
     return _cofactor_ratios(data, 1)[0]
+
+
+def multiple_zero_near(g: UniPoly):
+    """The multiple zero of g, or its stand-in when g is only near one.
+
+    Equals ``multiple_zero_uni(bezout_matrix(g), strict=False)`` and raises
+    what it raises. With g = content * a over the integers and N >= 3, the
+    first subresultant s1 * x + s0 of (a, a') is an integer combination
+    u * a + v * a' with deg u <= N - 3, so it lies in the span of the first
+    N - 2 remainder rows, which the last row's cofactors annihilate; when
+    s1 != 0 those rows are independent and do not reach the constants, so
+    the cofactor ratio is -s0 / s1 exactly. Without an element of degree 1
+    in the sequence (s1 = 0) the cofactors answer.
+    """
+    if g.degree >= 3:
+        first = _first_subresultant(int_clear(g.coeffs)[1])
+        if first is not None:
+            s1, s0 = first
+            return QQ(-s0, s1)
+    return multiple_zero_uni(bezout_matrix(g), strict=False)
 
 
 def linear_representation(g: UniPoly):
@@ -205,8 +253,62 @@ def _monomials_leq(d: int):
     return [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
 
 
-def _int_terms(p: BiPoly):
-    """(content, [(monomial, int)]): p = content * the primitive integer terms."""
+class IntBiPoly:
+    """content * the sum of c * x1^i * x2^j over ``ints`` = {(i, j): c}.
+
+    A bivariate polynomial held on integers, with the rational content
+    apart and no zero terms. ``GradientReducer`` and ``bezout_matrix_biv``
+    take it where they take a BiPoly, and reduce it with the same integer
+    arithmetic.
+    """
+
+    __slots__ = ("content", "ints")
+
+    def __init__(self, content, ints):
+        self.content = content
+        self.ints = ints
+
+    @property
+    def total_degree(self) -> int:
+        return max((i + j for i, j in self.ints), default=-1)
+
+    def derivative(self, which: int) -> "IntBiPoly":
+        out = {}
+        for (i, j), c in self.ints.items():
+            k = (i, j)[which]
+            if k:
+                out[(i - 1, j) if which == 0 else (i, j - 1)] = k * c
+        return IntBiPoly(self.content, out)
+
+
+def integer_pencil(g0: BiPoly, g1: BiPoly):
+    """node(t): g0 + t * g1 at an integer t, as an IntBiPoly.
+
+    g0 and g1 are cleared to integers once, with one content, so a node is
+    integer multiply-adds.
+    """
+    terms0, terms1 = list(g0.terms()), list(g1.terms())
+    content, ints = int_clear([c for _, c in terms0 + terms1])
+    base = {m: c for (m, _), c in zip(terms0, ints)}
+    slope = [(m, c) for (m, _), c in zip(terms1, ints[len(terms0):])]
+
+    def node(t):
+        terms = dict(base)
+        for m, c in slope:
+            terms[m] = terms.get(m, 0) + t * c
+        return IntBiPoly(content, {m: c for m, c in terms.items() if c})
+
+    return node
+
+
+def _int_terms(p):
+    """(content, [(monomial, int)]): p = content * the primitive integer terms.
+
+    p is a BiPoly or an IntBiPoly; the content is positive either way.
+    """
+    if isinstance(p, IntBiPoly):
+        g = math.gcd(*p.ints.values())
+        return p.content * g, [(m, c // g) for m, c in p.ints.items()]
     terms = list(p.terms())
     content, ints = int_clear([c for _, c in terms])
     return content, [(m, x) for (m, _), x in zip(terms, ints)]
@@ -234,7 +336,7 @@ class GradientReducer:
     primitive integer multiple of the row a rational echelon would hold.
     """
 
-    def __init__(self, g: BiPoly, degree: int):
+    def __init__(self, g: BiPoly | IntBiPoly, degree: int):
         n = g.total_degree
         if n < 2:
             raise ValueError("degree must be at least 2")
@@ -304,8 +406,10 @@ class GradientReducer:
             )
         return QQ(den, num), v[self.n_nonbasis :]
 
-    def multiplication_rows(self, g: BiPoly):
+    def multiplication_rows(self, g: BiPoly | IntBiPoly):
         """Coefficients of m * g over the quotient basis, for each basis m.
+
+        Each row comes as (rational scale, primitive integer row).
 
         A multiplication chain (Moller & Stetter, Numer. Math. 1995): only g
         itself is reduced as given; every other row is the reduction of
@@ -325,10 +429,10 @@ class GradientReducer:
                          for b, c in zip(self.basis, ints) if c]
             scale, ints = self._normal_form(terms)
             rows[m] = factor * scale, ints
-        return [[scale * c for c in ints] for scale, ints in map(rows.get, self.basis)]
+        return [rows[m] for m in self.basis]
 
 
-def bezout_matrix_biv(g: BiPoly) -> BezoutData:
+def bezout_matrix_biv(g: BiPoly | IntBiPoly) -> BezoutData:
     """The (N-1)^2 reduction-coefficient matrix for all basis monomials.
 
     The rows come from ``GradientReducer.multiplication_rows`` in the
@@ -347,7 +451,7 @@ def bezout_matrix_biv(g: BiPoly) -> BezoutData:
             if degree == windows[-1]:
                 raise
             continue
-        return BezoutData(MatrixQ(rows), reducer.size, source=g)
+        return BezoutData(None, reducer.size, source=g, scaled_rows=rows)
 
 
 def discriminant_biv(g: BiPoly):
@@ -406,7 +510,7 @@ def discriminant_param(pp: ParamPoly, degree_bound=None) -> UniPoly:
             values.append(acc)
         if not values[-1]:
             return None
-        return discriminant_uni(UniPoly(values, pp.main_var))
+        return discriminant_uni(values)
 
     return interpolate_verified(compute, bound, pp.param_var) * content ** (2 * n - 1)
 
@@ -419,8 +523,8 @@ def discriminant_biv_param(
 ) -> UniPoly:
     """Interpolated bivariate discriminant of a parameter-dependent polynomial.
 
-    build(node) must return the specialized BiPoly; nodes where the total
-    degree drops or the gradient reduction degenerates are skipped.
+    build(node) must return the specialized BiPoly or IntBiPoly; nodes where
+    the total degree drops or the gradient reduction degenerates are skipped.
 
     The discriminant is a rational function of the coefficients, and when the
     leading form of the input carries the parameter (as the two-multiplier

@@ -15,12 +15,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .discrim import (
-    bezout_matrix,
     bezout_matrix_biv,
     discriminant_biv_param,
     discriminant_param,
+    integer_pencil,
     multiple_zero_biv,
-    multiple_zero_uni,
+    multiple_zero_near,
 )
 from .errors import DegeneracyError, InputError, NoPositiveRootError
 from .linalg import (
@@ -557,7 +557,7 @@ def _general_raw(q1: Quadric, q2: Quadric, pencil=None) -> UniPoly:
     n = q1.dim
     g0, g1 = pencil() if pencil else general_z_pencil(q1, q2)
     bound = 2 * n * (n + 1) + 2 * n * n
-    return discriminant_biv_param(lambda z: g0 + z * g1, n + 2, bound, var=ZVAR)
+    return discriminant_biv_param(integer_pencil(g0, g1), n + 2, bound, var=ZVAR)
 
 
 def general_distance_poly_full(q1: Quadric, q2: Quadric, pencil=None):
@@ -625,7 +625,7 @@ def _pencil_multiple_zero(pencil: ParamPoly, z_hat, bits: int):
     Raises when the residuals fail the acceptance gate.
     """
     g = pencil.eval_param(z_hat)
-    root = snap(multiple_zero_uni(bezout_matrix(g), strict=False), bits)
+    root = snap(multiple_zero_near(g), bits)
     r0, r1 = _scaled_pencil_residuals(g, root)
     tol = tolerance(bits)
     if r0 > tol or r1 > tol:

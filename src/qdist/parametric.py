@@ -4,7 +4,8 @@ The distance surface F(z, t) collects, for every family member, the
 point-to-member distance polynomial. Its discriminant in t (the iterated
 discriminant) together with the interval-endpoint specializations yields the
 candidate squared distances; candidates are validated by stationarity
-residuals, and the nearest point comes from the winning member's own F.
+residuals, and the nearest point comes from the winning member's own F,
+which is F(z, t) at the member's t up to a constant factor.
 Candidate zeros are compared by their brackets, refined only as far as that
 needs, and to the full precision only when their value is read.
 """
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discrim import bezout_matrix, discriminant_param, multiple_zero_uni
+from .discrim import discriminant_param, multiple_zero_near
 from .errors import DegeneracyError, InputError, NoPositiveRootError
-from .linalg import MatrixQ, VectorQ
+from .linalg import MatrixQ, VectorQ, det_bipoly_matrix
 from .metrics import (
+    MU,
     ZVAR,
     DistanceReport,
     RootInfo,
@@ -24,21 +26,19 @@ from .metrics import (
     _finish_with_recovery,
     _root_info,
     _scaled_pencil_residuals,
-    bordered_point_pencil,
     normalize,
     point_pairing,
 )
-from .poly import BiPoly, UniPoly, interpolate_verified
+from .poly import BiPoly, ParamPoly, UniPoly, _ieval, interpolate_verified
 from .realroots import (
     IsolatingInterval,
     count_roots,
-    holds_root,
     isolate_real_roots,
     positive_roots,
     refine,
     refine_interval,
 )
-from .scalar import QQ, rational, snap, tolerance
+from .scalar import QQ, int_clear, rational, snap, tolerance
 
 TVAR = "t"
 
@@ -109,11 +109,46 @@ def _as_tpoly(e):
     return UniPoly.const(e, TVAR)
 
 
+def _family_pencil(fam: QuadricFamily, x0: VectorQ):
+    """The point pencil of every member at once, as integer polynomials in t.
+
+    The bordered determinant of ``metrics.bordered_point_pencil``, with
+    A(t), B(t) and c(t) in its entries, is det(rows) + z * mu * det(rows
+    without the last row and column), both polynomials in (mu, t). Returns
+    (content, [(p0, p1)]): the pencil's mu^j coefficient at t is
+    content * (p0(t) + z * p1(t)), with p0 and p1 ascending integer vectors.
+    """
+    n = fam.dim
+    vars = (MU, TVAR)
+    mu = BiPoly.variable(0, vars)
+
+    def lift(p: UniPoly) -> BiPoly:
+        return BiPoly([list(p.coeffs)], vars)
+
+    border = [lift(fam.b[i]) + mu * x0[i] for i in range(n)]
+    rows = [
+        [lift(fam.a[i][j]) - (mu if i == j else 0) for j in range(n)] + [border[i]]
+        for i in range(n)
+    ]
+    rows.append(border + [lift(fam.c) - mu * x0.dot(x0)])
+    d0 = det_bipoly_matrix(rows, vars)
+    slope = det_bipoly_matrix([row[:-1] for row in rows[:-1]], vars) * mu
+    # coeffs[j] of a BiPoly in (mu, t) is the t-vector of its mu^j coefficient
+    pairs = [
+        [list(p.coeffs[j]) if j < len(p.coeffs) else [] for p in (d0, slope)]
+        for j in range(max(d0.deg1, slope.deg1) + 1)
+    ]
+    content, flat = int_clear([x for pair in pairs for p in pair for x in p])
+    ints = iter(flat)
+    return content, [[[next(ints) for _ in p] for p in pair] for pair in pairs]
+
+
 def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
     """F(z, t): for each t the member's distance polynomial in z.
 
     Built by exact interpolation over parameter nodes with verification
-    nodes; nodes where the pencil degenerates are skipped.
+    nodes; nodes where the pencil degenerates are skipped. The point pencil
+    is built once over Q[mu, t]; a node evaluates its coefficients.
     """
     n = fam.dim
     row_degrees = []
@@ -125,14 +160,16 @@ def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
     d_phi = sum(row_degrees)
     bound = (2 * (n + 1) - 1) * max(d_phi, 1)
 
+    content, pencil_t = _family_pencil(fam, x0)
+
     def coefficients(t):
         # z-coefficients of the member's distance polynomial, from the
         # unnormalized data of its point pencil
-        pencil = bordered_point_pencil(
-            [[e.eval(t) for e in row] for row in fam.a],
-            [e.eval(t) for e in fam.b],
-            fam.c.eval(t),
-            x0,
+        pencil = ParamPoly(
+            [UniPoly((content * _ieval(p0, t), content * _ieval(p1, t)), ZVAR)
+             for p0, p1 in pencil_t],
+            MU,
+            ZVAR,
         )
         if pencil.degree != n + 1:
             return None
@@ -216,13 +253,34 @@ def _below(x: _Zero, y: _Zero, bits: int) -> bool:
     return x.value(bits) < y.value(bits)
 
 
+class _Member:
+    """A family member's F, up to a constant factor, and its positive zeros.
+
+    The first zero is isolated at once and held as a _Zero; the others are
+    isolated only when recovery reaches them.
+    """
+
+    def __init__(self, poly: UniPoly):
+        self.poly = poly
+        self._later = positive_roots(poly)
+        first = next(self._later, None)
+        self.first = None if first is None else _Zero(first)
+
+    def zeros(self, bits: int):
+        """RootInfo of the positive zeros, ascending, each refined when read."""
+        if self.first is not None:
+            yield _root_info(self.first.at(bits))
+        for iv in self._later:
+            yield _root_info(refine_interval(iv, bits))
+
+
 @dataclass
 class _Candidate:
     zero: _Zero  # gives z at the full precision
     source: str  # "interior", "endpoint-a", "endpoint-b"
     multiplicity: int
-    t: object = None
-    member: _Zero | None = None  # first zero of the member's F, if refined
+    t: object
+    member: _Member
 
 
 def _point_residual(fam: QuadricFamily, x0: VectorQ) -> UniPoly:
@@ -301,10 +359,10 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     lo, hi = fam.interval or (QQ(0), QQ(0))
     endpoints = []
     for poly, label, t_end in ((fa, "endpoint-a", lo), (fb, "endpoint-b", hi)):
-        iv = next(positive_roots(poly), None) if poly else None
-        if iv is not None:
-            end = _Zero(iv)  # also the first zero of the member's own F
-            endpoints.append(_Candidate(end, label, iv.multiplicity, t_end, end))
+        member = _Member(poly) if poly else None
+        if member is not None and member.first is not None:
+            end = member.first
+            endpoints.append(_Candidate(end, label, end.origin.multiplicity, t_end, member))
     if len(endpoints) == 2 and _below(endpoints[1].zero, endpoints[0].zero, bits):
         endpoints.reverse()  # endpoint a first on a tie
     interior = positive_roots(big_f) if big_f is not None else ()
@@ -341,28 +399,17 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     try:
         pairing = point_pairing(fam.member(best.t), x0)
         if not pairing.report.intersecting:
-            zeros = _member_zeros(pairing.distance_poly(), best.member, bits)
-            sub = _finish_with_recovery(pairing, bits, zeros)
+            member = best.member
+            if member.poly.degree != surface.deg1:
+                # F(z, t) drops degree at this t: use the member's own F
+                member = _Member(pairing.distance_poly())
+            sub = _finish_with_recovery(pairing, bits, member.zeros(bits))
             if sub.nearest_pairs:
                 report.nearest_pairs = sub.nearest_pairs
                 report.multipliers = sub.multipliers
     except (DegeneracyError, ValueError) as exc:
         report.warnings.append(f"nearest point on winning member unavailable: {exc}")
     return report
-
-
-def _member_zeros(f: UniPoly, known: _Zero | None, bits):
-    """RootInfo of f's positive zeros, ascending, each refined when it is read.
-
-    A zero isolated by ``known.origin`` whose factor has its root in
-    ``known``'s bracket too refines on from that bracket, which is on its path.
-    """
-    for iv in positive_roots(f):
-        if known is not None and iv == known.origin:
-            a, b = known.iv.lo, known.iv.hi
-            if holds_root(iv.poly, a, b):
-                iv = IsolatingInterval(a, b, iv.multiplicity, iv.poly)
-        yield _root_info(refine_interval(iv, bits))
 
 
 def _validate_interior(fam, x0, surface, zero: _Zero, bits):
@@ -378,8 +425,7 @@ def _validate_interior(fam, x0, surface, zero: _Zero, bits):
     if f_at_z.degree < 2:
         return None
     try:
-        data = bezout_matrix(f_at_z)
-        t_hat = multiple_zero_uni(data, strict=False)
+        t_hat = multiple_zero_near(f_at_z)
     except DegeneracyError:
         return None
     t_hat = snap(t_hat, bits)
@@ -396,10 +442,10 @@ def _validate_interior(fam, x0, surface, zero: _Zero, bits):
     if not member_poly:
         return None
     try:
-        first = next(positive_roots(member_poly), None)
+        member = _Member(member_poly)
     except (ValueError, AssertionError):
         return None
-    member = None if first is None else _Zero(first)
-    if member is not None and member.value(bits // 2) < z_hat - tolerance(bits // 2):
+    first = member.first
+    if first is not None and first.value(bits // 2) < z_hat - tolerance(bits // 2):
         return None  # a smaller positive zero: z_hat is a far branch
     return _Candidate(zero, "interior", 1, t_hat, member)

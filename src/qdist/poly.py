@@ -492,14 +492,18 @@ def resultant(p: UniPoly, q: UniPoly):
     return factor * _int_resultant(a, b)
 
 
-def _int_resultant(a, b):
-    s = 1
-    if _ideg(a) < _ideg(b):
-        if (_ideg(a) % 2 == 1) and (_ideg(b) % 2 == 1):
-            s = -s
-        a, b = b, a
-    g = 1
-    h = 1
+def _subresultant_prs(a, b):
+    """The subresultant remainder sequence of integer vectors a, b.
+
+    Brown & Traub (JACM 1971): each pseudo-remainder is divided exactly by
+    the scale the sequence carries, so every element is, up to sign, a
+    subresultant of (a, b), with coefficients no larger. Requires
+    deg a >= deg b >= 1. Yields (sign, h, a, b) after each division: b is
+    the new element ([] once an element divides the one before it), a the
+    element before it, h the current scale, and sign the resultant's sign
+    so far. Stops once b has degree 0 or less.
+    """
+    s = g = h = 1
     while True:
         da, db = _ideg(a), _ideg(b)
         delta = da - db
@@ -509,14 +513,41 @@ def _int_resultant(a, b):
         a = b
         denom = g * h**delta
         b = [c // denom for c in r]
-        if not b:
-            return 0
-        g = a[-1]
-        h = h if delta == 0 else (g**delta // h ** (delta - 1))
-        if _ideg(b) == 0:
-            da = _ideg(a)
-            final = b[0] ** da // h ** (da - 1) if da >= 1 else h
-            return s * final
+        if b:
+            g = a[-1]
+            h = h if delta == 0 else (g**delta // h ** (delta - 1))
+        yield s, h, a, b
+        if _ideg(b) <= 0:
+            return
+
+
+def _int_resultant(a, b):
+    s = 1
+    if _ideg(a) < _ideg(b):
+        if (_ideg(a) % 2 == 1) and (_ideg(b) % 2 == 1):
+            s = -s
+        a, b = b, a
+    for sign, h, a, b in _subresultant_prs(a, b):
+        pass  # the resultant is read off the sequence's last element
+    if not b:
+        return 0
+    da = _ideg(a)
+    final = b[0] ** da // h ** (da - 1) if da >= 1 else h
+    return s * sign * final
+
+
+def _first_subresultant(a):
+    """(s1, s0) of the degree-1 subresultant s1 * x + s0 of (a, a'), up to
+    a common factor, or None when the sequence has no element of degree 1.
+
+    a is an integer vector of degree at least 3. An element of degree 1 in
+    the sequence is similar to that subresultant; with none, the
+    subresultant is zero or a constant.
+    """
+    for _, _, _, b in _subresultant_prs(a, _iderivative(a)):
+        if len(b) == 2:
+            return b[1], b[0]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,21 @@ Descartes' rule of signs counts its roots there. The tree is walked left
 half first, so the roots come ascending and lazily: a caller that takes the
 first positive root alone isolates that root alone, and no negative one.
 
+The tree of the positive range (eps, B) has B = 2 + max|c| / |lead|, which
+can lie far above every root (2^171 for a degree-85 F(z) whose first root
+is below 55). Isolation starts instead at the deepest node of the tree's
+left spine, (eps, eps + (B - eps) / 2^j), whose right end still reaches
+Fujiwara's bound 2 max |a_(n-i) / a_n|^(1/i) on every complex root, taken
+up to a power of two from bit lengths; the negative range starts on its
+right spine, mirrored. The intervals do not change. The nodes skipped
+above the start hold the start node and siblings with no root, and the
+spine's midpoints there are no roots, so the walk from the top would reach
+the start node and yield nothing else. The Descartes count of a node is at
+least that of each half, so when the start node counts 2 or more every
+node above it splits, as the walk from the top does; when it counts 1, the
+walk from the top stops at the highest spine node that counts 1, which a
+bisection over the spine's depth finds.
+
 Every isolating interval keeps the one square-free factor that holds its
 root, with integer coefficients, so refinement computes no square-free part
 of its own: it bisects the rational bracket by sign tests of that factor.
@@ -128,6 +143,28 @@ def _descartes(q):
     return count
 
 
+def _scaled_eval(cs, x):
+    """d^n p(a/d) for x = a/d and p's integer coefficients cs, ascending.
+
+    An integer with the sign of p(x), zero exactly when x is a root.
+    """
+    a, d = num(x), den(x)
+    acc, power = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        power *= d
+        acc = acc * a + c * power
+    return acc
+
+
+def _imul(a, b):
+    """The product of two integer coefficient vectors."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def holds_root(f: UniPoly, lo, hi) -> bool:
     """Whether f has a root in the bracket: at lo == hi, or strictly inside."""
     a, b = f.eval(lo), f.eval(hi)
@@ -156,24 +193,73 @@ def count_roots(p: UniPoly, lo, hi) -> int:
     return _count_roots(_unit_transform(int_clear(squarefree_part(p).coeffs)[1], lo, hi))
 
 
+def _root_bound(cs):
+    return QQ(2) + QQ(max(map(abs, cs[:-1]), default=0), abs(cs[-1]))
+
+
 def root_bound(p: UniPoly):
-    """Rational B with every real root of p strictly inside (-B, B)."""
-    lead = abs(p.lead)
-    m = max((abs(c) for c in p.coeffs[:-1]), default=QQ(0))
-    return QQ(2) + m / lead
+    """Rational B = 2 + max|c| / |lead|: every real root of p is inside (-B, B)."""
+    return _root_bound(int_clear(p.coeffs)[1])
 
 
-def _isolate_squarefree(s: UniPoly, lo, hi):
-    """Disjoint open isolating intervals for roots of square-free s in (lo, hi).
+def _fujiwara_exponent(cs):
+    """k with every complex root of the integer vector cs below 2^k in modulus.
 
-    Requires s(lo) != 0 and s(hi) != 0. Each interval carries s mapped onto
-    (0, 1) as an integer polynomial, whose Descartes count decides whether
-    the interval is dropped, kept or halved. The tree is walked left half
-    first, so the intervals come ascending, and a subtree is bisected only
-    once the intervals below it have been taken.
+    Fujiwara (1916) bounds each root by 2 max_i |a_(n-i) / a_n|^(1/i). As
+    |a| < 2^bitlen(a) and |a_n| >= 2^(bitlen(a_n) - 1), the i-th term is
+    below 2^ceil((bitlen(a_(n-i)) - bitlen(a_n) + 1) / i).
     """
-    cs = int_clear(s.coeffs)[1]
-    stack = [(lo, hi, _unit_transform(cs, lo, hi), False)]
+    lead = abs(cs[-1]).bit_length()
+    terms = (-((lead - abs(c).bit_length() - 1) // i)
+             for i, c in enumerate(reversed(cs[:-1]), 1) if c)
+    return 1 + max(terms, default=0)
+
+
+def _isolate_below_bound(cs, eps, b, top, positive):
+    """The intervals of ``_isolate_squarefree(cs, eps, b)`` (positive) or
+    ``_isolate_squarefree(cs, -b, -eps)``, started below the bound ``top``.
+
+    ``top`` exceeds the modulus of every root of cs, and eps < b. The spine
+    node at depth i is (eps, eps + (b - eps) / 2^i) on the positive range,
+    and its mirror image on the negative one; see the module docstring for
+    why the intervals are the same.
+    """
+    width = b - eps
+    if top <= eps:
+        return  # no root beyond eps
+    ratio = width / (top - eps)
+    depth = (num(ratio) // den(ratio)).bit_length() - 1 if ratio >= 1 else 0
+
+    def node(i):
+        end = eps + width / (1 << i)
+        return (eps, end) if positive else (-end, -eps)
+
+    start = _unit_transform(cs, *node(depth))
+    count = _descartes(start)
+    if count >= 2:
+        yield from _isolate_squarefree(cs, *node(depth), start)
+    elif count == 1:
+        high, low = 0, depth  # the counts fall with depth, and node(low) counts 1
+        while high < low:
+            mid = (high + low) // 2
+            if _descartes(_unit_transform(cs, *node(mid))) == 1:
+                low = mid
+            else:
+                high = mid + 1
+        yield node(low)
+
+
+def _isolate_squarefree(cs, lo, hi, q=None):
+    """Disjoint open isolating intervals for roots of square-free cs in (lo, hi).
+
+    cs are integer coefficients, ascending, nonzero at lo and hi. Each
+    interval carries cs mapped onto (0, 1) as an integer polynomial, whose
+    Descartes count decides whether the interval is dropped, kept or
+    halved; q is that polynomial for (lo, hi) when the caller has it. The
+    tree is walked left half first, so the intervals come ascending, and a
+    subtree is bisected only once the intervals below it have been taken.
+    """
+    stack = [(lo, hi, _unit_transform(cs, lo, hi) if q is None else q, False)]
     while stack:
         a, b, q, shift = stack.pop()
         if q is None:  # an exact root at a midpoint, after the roots below it
@@ -193,7 +279,7 @@ def _isolate_squarefree(s: UniPoly, lo, hi):
             # exact root at the midpoint; carve out a root-free neighborhood
             delta = (b - a) / 4
             while True:
-                if s.eval(m - delta) and s.eval(m + delta):
+                if _scaled_eval(cs, m - delta) and _scaled_eval(cs, m + delta):
                     if _count_roots(_unit_transform(cs, m - delta, m + delta)) == 1:
                         break
                 delta = delta / 2
@@ -218,15 +304,15 @@ def _ascending_roots(p: UniPoly, positive: bool):
     zero_mult, int_factors = squarefree_factors(p)
     factors = [(UniPoly(f, p.var), k) for f, k in int_factors]
     # the root at zero is stripped, so every other interval has a fixed sign
-    s_rest = UniPoly.const(1, p.var)
-    for f, _ in factors:
-        s_rest = s_rest * f
+    s_rest = [1]
+    for f, _ in int_factors:
+        s_rest = _imul(s_rest, f)
 
     def interval(a, bnd):
         # collapse an interval whose root is a recognizable rational
         if a != bnd:
             cand = simplest_in_interval(a, bnd)
-            if cand != a and cand != bnd and not s_rest.eval(cand):
+            if cand != a and cand != bnd and not _scaled_eval(s_rest, cand):
                 a = bnd = cand
         # the root takes the multiplicity of the square-free factor that
         # holds it, and keeps that factor: its only root in the bracket
@@ -235,21 +321,25 @@ def _ascending_roots(p: UniPoly, positive: bool):
                 return IsolatingInterval(a, bnd, k, f)
         raise AssertionError("could not attribute a multiplicity")
 
-    ranges = []
-    if s_rest.degree >= 1:
-        b = root_bound(s_rest)
+    below = above = ()  # lazy walks of the ranges below and above zero
+    if len(s_rest) > 1:
+        b = _root_bound(s_rest)
+        top = QQ(2) ** _fujiwara_exponent(s_rest)
         eps = QQ(1)
-        while not s_rest.eval(eps) or not s_rest.eval(-eps):
+        while not _scaled_eval(s_rest, eps) or not _scaled_eval(s_rest, -eps):
             eps = eps / 2
         # split at zero so every interval lies on one side of it
-        ranges = [(-b, -eps), (-eps, QQ(0)), (QQ(0), eps), (eps, b)]
+        below = (_isolate_below_bound(s_rest, eps, b, top, False),
+                 _isolate_squarefree(s_rest, -eps, QQ(0)))
+        above = (_isolate_squarefree(s_rest, QQ(0), eps),
+                 _isolate_below_bound(s_rest, eps, b, top, True))
     if not positive:
-        for lo, hi in ranges[:2]:
-            yield from (interval(*iv) for iv in _isolate_squarefree(s_rest, lo, hi))
+        for walk in below:
+            yield from (interval(*iv) for iv in walk)
         if zero_mult:
             yield IsolatingInterval(QQ(0), QQ(0), zero_mult, UniPoly.x(p.var))
-    for lo, hi in ranges[2:]:
-        yield from (interval(*iv) for iv in _isolate_squarefree(s_rest, lo, hi))
+    for walk in above:
+        yield from (interval(*iv) for iv in walk)
 
 
 def isolate_real_roots(p: UniPoly, positive: bool = False):

@@ -6,11 +6,19 @@ import importlib.util
 import math
 from pathlib import Path
 
-from qdist.discrim import quotient_basis_monomials
+from qdist.discrim import discriminant_param, quotient_basis_monomials
 from qdist.errors import DegeneracyError
 from qdist.linalg import MatrixQ, VectorQ, definiteness, determinant
-from qdist.metrics import Quadric, normalize
-from qdist.poly import BiPoly, NewtonInterp, NodeValues, UniPoly, divrem, field_gcd
+from qdist.metrics import Quadric, bordered_point_pencil, normalize
+from qdist.poly import (
+    BiPoly,
+    NewtonInterp,
+    NodeValues,
+    UniPoly,
+    divrem,
+    field_gcd,
+    interpolate_verified,
+)
 from qdist.scalar import QQ, rational
 
 
@@ -327,3 +335,33 @@ def table_per_order_interpolate(compute, bound, var="x", max_pole_order=0):
     raise DegeneracyError(
         "interpolation-verification", "interpolated polynomial failed verification"
     )
+
+
+def per_node_family_surface(fam, x0):
+    """F(z, t) of a family, with the point pencil built anew at every node
+    from the members' rational data: a reference for
+    ``qdist.parametric.family_distance_surface``, same nodes and bound."""
+    n = fam.dim
+    row_degrees = [
+        max([fam.a[i][j].degree for j in range(n)] + [fam.b[i].degree, 0]) for i in range(n)
+    ]
+    row_degrees.append(max([e.degree for e in fam.b] + [fam.c.degree, 0]))
+    bound = (2 * (n + 1) - 1) * max(sum(row_degrees), 1)
+
+    def coefficients(t):
+        pencil = bordered_point_pencil(
+            [[e.eval(t) for e in row] for row in fam.a],
+            [e.eval(t) for e in fam.b],
+            fam.c.eval(t),
+            x0,
+        )
+        if pencil.degree != n + 1:
+            return None
+        try:
+            return discriminant_param(pencil, degree_bound=2 * (n + 1)).coeffs
+        except DegeneracyError:
+            return None
+
+    cols = interpolate_verified(coefficients, bound, "t")
+    terms = {(j, i): c for j, p in enumerate(cols) for i, c in enumerate(p.coeffs) if c}
+    return BiPoly.from_terms(terms, ("z", "t"))

@@ -19,17 +19,19 @@ from qdist.discrim import (
     discriminant_biv,
     discriminant_param,
     discriminant_uni,
+    integer_pencil,
     linear_representation,
     multiple_zero_biv,
+    multiple_zero_near,
     multiple_zero_uni,
     quotient_basis_monomials,
 )
 from qdist.errors import DegeneracyError
-from qdist.linalg import MatrixQ, VectorQ, det_unipoly_matrix, rank, solve_linear
+from qdist.linalg import MatrixQ, VectorQ, det_unipoly_matrix, determinant, rank, solve_linear
 from qdist.metrics import general_bipoly_at, normalize
-from qdist.poly import BiPoly, ParamPoly, RatFunc, UniPoly, divrem, integer_nodes
+from qdist.poly import BiPoly, ParamPoly, RatFunc, UniPoly, _first_subresultant, divrem, integer_nodes
 from qdist.realroots import isolate_real_roots, refine
-from qdist.scalar import QQ
+from qdist.scalar import QQ, int_clear
 
 X = UniPoly.x("x")
 A = UniPoly.x("a")
@@ -548,3 +550,63 @@ def test_discriminant_param_calls_discriminant_uni_once_per_node(monkeypatch):
                         lambda self, x, y: nodes.append(x) or add_point(self, x, y))
     assert discriminant_param(pencil, degree_bound=6) == expected
     assert len(calls) == len(nodes) == expected.degree + 4
+
+
+def _near_multiple_polys(rng):
+    """Seeded g of degree 2-16: random, with a double root, and near one."""
+    for deg in range(2, 17):
+        yield rand_poly(rng, deg)
+        double = (X - rand_rat(rng)) ** 2 * rand_poly(rng, deg - 2)
+        yield double
+        yield double + QQ(1, 10 ** rng.randint(6, 30)) * rand_poly(rng, deg - 1)
+
+
+def _same_answer(g):
+    """multiple_zero_near(g) against the cofactors: the value or the error code."""
+    outcomes = []
+    for f in (lambda: multiple_zero_near(g),
+              lambda: multiple_zero_uni(bezout_matrix(g), strict=False)):
+        try:
+            outcomes.append(f())
+        except DegeneracyError as exc:
+            outcomes.append(exc.code)
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def test_first_subresultant_zero_equals_cofactor_ratio():
+    rng = random.Random(1971)
+    normal = 0
+    for g in _near_multiple_polys(rng):
+        _same_answer(g)
+        normal += g.degree >= 3 and _first_subresultant(int_clear(g.coeffs)[1]) is not None
+    assert normal >= 40
+
+
+@pytest.mark.parametrize(
+    "g, answer",
+    [
+        # x^4 + 1 against 4x^3: the sequence drops from degree 3 to 0
+        (X**4 + 1, 0),
+        # gcd(g, g') has degree 2: no element of degree 1 and no unique zero
+        ((X**2 + 1) ** 2 * (X - 3), "non-unique-multiple-zero"),
+        ((X - 1) ** 3 * (X + 2), "non-unique-multiple-zero"),
+    ],
+)
+def test_abnormal_subresultant_sequence_falls_back_to_cofactors(g, answer):
+    assert _first_subresultant(int_clear(g.coeffs)[1]) is None
+    assert _same_answer(g) == answer
+
+
+def test_integer_nodes_reduce_like_bipoly_nodes():
+    # a general pair's F(z) reduces g0 + t * g1 on integers; each node has
+    # the matrix of the BiPoly node, and the determinant of its scaled
+    # integer rows is the rational determinant of that matrix
+    pencils = list(_workload_pencils((1,), 6))
+    assert len(pencils) == 3
+    for g0, g1 in pencils:
+        node = integer_pencil(g0, g1)
+        for t in islice(integer_nodes(), 1, 13):
+            data = bezout_matrix_biv(node(t))
+            assert data.matrix == bezout_matrix_biv(g0 + t * g1).matrix
+            assert data.det == determinant(data.matrix)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from brute import brute_point_distance
-from helpers import rand_rat, workload_problems
+from helpers import per_node_family_surface, rand_rat, workload_problems
 from qdist.cli import ProblemFile
 from qdist.errors import InputError, NoPositiveRootError
 from qdist.linalg import MatrixQ, VectorQ
@@ -11,6 +11,7 @@ from qdist.metrics import solve_point
 from qdist.parametric import (
     QuadricFamily,
     family_distance_poly,
+    family_distance_surface,
     family_solve,
 )
 from qdist.poly import UniPoly, divrem
@@ -219,3 +220,28 @@ def test_family_nearest_points_match_member_solve():
         sub = solve_point(fam.member(rep.t_star), x0)
         assert rep.nearest_pairs and rep.nearest_pairs == sub.nearest_pairs
         assert rep.multipliers == sub.multipliers
+
+
+def test_family_surface_matches_per_node_pencils():
+    # the point pencil is built once over Q[mu, t] and evaluated at each
+    # node; the reference builds it from the members' data at every node
+    cases = list(_golden_family_cases()) + list(_workload_families((1, 2, 3), 6))
+    assert len(cases) == 11
+    for fam, x0 in cases:
+        assert family_distance_surface(fam, x0) == per_node_family_surface(fam, x0)
+
+
+def test_family_solve_builds_no_member_distance_poly(monkeypatch):
+    # the winning member's F is the surface at its t up to a constant, so
+    # recovery reads the zeros validation isolated and builds no second F
+    from qdist import metrics
+
+    def forbidden(*args):
+        raise AssertionError("member distance polynomial rebuilt")
+
+    cases = list(_golden_family_cases()) + list(_workload_families((1,), 6))
+    expected = [family_solve(fam, x0) for fam, x0 in cases]
+    monkeypatch.setattr(metrics, "point_distance_poly", forbidden)
+    for (fam, x0), rep in zip(cases, expected):
+        again = family_solve(fam, x0)
+        assert again.nearest_pairs and again.nearest_pairs == rep.nearest_pairs

@@ -1,7 +1,7 @@
 import hashlib
 import random
 
-from helpers import _var_at, assert_printed, rand_poly, sturm_chain
+from helpers import _var_at, assert_printed, rand_poly, sturm_chain, workload_problems
 from qdist import realroots
 from qdist.errors import NoPositiveRootError
 from qdist.poly import UniPoly, divrem, squarefree_part
@@ -18,7 +18,7 @@ from qdist.realroots import (
     refine,
     root_bound,
 )
-from qdist.scalar import QQ, decimal_str, format_rational
+from qdist.scalar import QQ, decimal_str, format_rational, int_clear
 
 import pytest
 
@@ -370,3 +370,98 @@ def test_descartes_count_stops_at_two():
         signs = [c > 0 for c in realroots._shift_by_one(q[::-1]) if c]
         full = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
         assert realroots._descartes(q) == min(full, 2)
+
+
+def _walk(cs, eps, b, positive):
+    """(intervals from the start below Fujiwara's bound, intervals from the
+    top of the tree, Descartes calls of each) on the positive range
+    (eps, b) or the negative range (-b, -eps)."""
+    top = QQ(2) ** realroots._fujiwara_exponent(cs)
+    calls = []
+    descartes = realroots._descartes
+    realroots._descartes = lambda q: calls.append(q) or descartes(q)
+    try:
+        start = list(realroots._isolate_below_bound(cs, eps, b, top, positive))
+        n_start = len(calls)
+        whole = list(realroots._isolate_squarefree(cs, *((eps, b) if positive else (-b, -eps))))
+    finally:
+        realroots._descartes = descartes
+    return start, whole, n_start, len(calls) - n_start
+
+
+def _wide_products(rng):
+    # many small real roots: the root bound lies far above them
+    for _ in range(30):
+        p = _seeded_product(rng)[0]
+        for _ in range(rng.randint(6, 16)):
+            p = p * (Z - QQ(rng.randint(-12, 12), rng.randint(1, 3)))
+        yield p
+
+
+def test_start_below_fujiwara_bound_keeps_intervals():
+    rng = random.Random(1916)
+    deep = 0
+    for p in _wide_products(rng):
+        s = squarefree_part(p)
+        cs = int_clear(s.coeffs)[1]
+        while not cs[0]:
+            cs.pop(0)
+        top = QQ(2) ** realroots._fujiwara_exponent(cs)
+        chain = sturm_chain(UniPoly(cs, "z"))
+        b = root_bound(UniPoly(cs, "z"))
+        # no real root beyond the bound (Sturm), and the tree's bound is far above
+        assert _var_at(chain, top) == _var_at(chain, b)
+        assert _var_at(chain, -b) == _var_at(chain, -top)
+        eps = QQ(1)
+        while not s.eval(eps) or not s.eval(-eps):
+            eps /= 2
+        for positive in (True, False):
+            start, whole, n_start, n_whole = _walk(cs, eps, b, positive)
+            assert start == whole
+            deep += n_start < n_whole
+    assert deep >= 40
+
+
+@pytest.mark.parametrize(
+    "factor, expected",
+    [
+        # a rational root on the midpoint 8 of the node (1, 15) below the start
+        ((Z - 8) * (2 * Z - 3) * (Z**2 + 1), [(QQ(1), QQ(9, 2)), (QQ(8), QQ(8))]),
+        # one positive root: the walk from the top stops at the highest spine
+        # node that counts 1, the start node's parent (1, 225) or the root
+        ((Z - 32) * ((Z + 1) ** 2 + 169), [(QQ(1), QQ(225))]),
+        ((Z - 3) * (Z**2 + 1) * (Z + 5), [(QQ(1), 1 + QQ(7 * 2**40))]),
+        # none: the start node counts 0
+        ((Z + 2) * (Z**2 + Z + 1), []),
+    ],
+)
+def test_start_below_fujiwara_bound_on_a_tall_tree(factor, expected):
+    # the tree (1, 1 + 7 * 2^40) is far taller than the roots need
+    cs = int_clear(factor.coeffs)[1]
+    b = 1 + QQ(7 * 2**40)
+    start, whole, n_start, n_whole = _walk(cs, QQ(1), b, True)
+    assert start == whole == expected
+    assert n_start < 15
+    # the same roots negated, on the negative range
+    mirror = [c if k % 2 == 0 else -c for k, c in enumerate(cs)]
+    start, whole, _, _ = _walk(mirror, QQ(1), b, False)
+    assert start == whole == [(-hi, -lo) for lo, hi in reversed(expected)]
+
+
+def test_first_root_of_a_family_discriminant_runs_few_descartes_calls(monkeypatch):
+    # F(z) of pair-family seed 1's first family has degree 85 and root bound
+    # ~2^171, and its first positive root lies in (1, 55.3): the walk from
+    # the top of the tree took 167 Descartes calls to reach it
+    from qdist.cli import ProblemFile
+    from qdist.parametric import family_distance_poly
+
+    problem = next(p for p in workload_problems("pair-family", 1, 6) if p["kind"] == "family-point")
+    p = ProblemFile(problem)
+    big_f, _, _ = family_distance_poly(p.family, p.point)
+    assert big_f.degree == 85
+    calls = []
+    descartes = realroots._descartes
+    monkeypatch.setattr(realroots, "_descartes", lambda q: calls.append(q) or descartes(q))
+    first = next(positive_roots(big_f))
+    assert len(calls) <= 20
+    assert first.lo == 1 and 55 < first.hi < 56 and first.multiplicity == 1
