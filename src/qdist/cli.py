@@ -339,7 +339,7 @@ def _sweep_value(quadric: Quadric, x0, y0):
     body = UniPoly(raw.coeffs[m:], raw.var)
     if body.degree < 2:
         return QQ(0)
-    return discriminant_uni(body)
+    return discriminant_uni(body.coeffs)
 
 
 def cmd_sweep(p: ProblemFile, grid_spec: str, out_stream, exact_stream=None):

@@ -52,7 +52,9 @@ class BezoutData:
     The bivariate matrix comes as ``scaled_rows``, each a rational scale and
     a primitive integer row: its determinant is the product of the scales
     times an integer Bareiss determinant, and the rational matrix is built
-    only when it is read, for cofactors or a characteristic polynomial.
+    only when it is read, for cofactors or a characteristic polynomial. The
+    univariate matrix is given whole, as its entries may be rational
+    functions of a parameter.
     """
 
     def __init__(self, matrix: MatrixQ | None, size: int, source=None, scaled_rows=None):
@@ -111,18 +113,18 @@ def bezout_matrix(g: UniPoly) -> BezoutData:
     return BezoutData(MatrixQ(rows), n - 1, source=g)
 
 
-def discriminant_uni(g):
+def discriminant_uni(coeffs):
     """Discriminant of g: resultant(g, g'), by the integer subresultant PRS.
 
-    g is a UniPoly, or its ascending integer coefficients with a nonzero
-    last entry. Vanishes exactly when g has a multiple complex zero. It
-    equals N^N * lead(g)^N * det of the ``bezout_matrix`` remainder matrix:
-    multiplication by g modulo g' has determinant prod g(zeros of g'), and
-    resultant(g', g) contributes lead(g')^deg(g) = (N*lead)^N. With
+    ``coeffs`` are g's ascending rational or integer coefficients, with a
+    nonzero last entry (a UniPoly's ``coeffs``). Vanishes exactly when g
+    has a multiple complex zero. It equals N^N * lead(g)^N * det of the
+    ``bezout_matrix`` remainder matrix: multiplication by g modulo g' has
+    determinant prod g(zeros of g'), and resultant(g', g) contributes
+    lead(g')^deg(g) = (N*lead)^N. With
     g = content * a over the integers it is content^(2N - 1) times the
     integer resultant(a, a').
     """
-    coeffs = g.coeffs if isinstance(g, UniPoly) else g
     n = len(coeffs) - 1
     if n < 2:
         raise ValueError("degree must be at least 2")
@@ -258,7 +260,8 @@ class IntBiPoly:
 
     A bivariate polynomial held on integers, with the rational content
     apart and no zero terms. ``GradientReducer`` and ``bezout_matrix_biv``
-    take it where they take a BiPoly, and reduce it with the same integer
+    take it where they take a BiPoly: both give ``total_degree``,
+    ``derivative`` and ``int_terms``, so both reduce with the same integer
     arithmetic.
     """
 
@@ -271,6 +274,12 @@ class IntBiPoly:
     @property
     def total_degree(self) -> int:
         return max((i + j for i, j in self.ints), default=-1)
+
+    def int_terms(self):
+        """(content, [(monomial, int)]) with primitive integers, as
+        ``BiPoly.int_terms`` gives them."""
+        g = math.gcd(*self.ints.values()) or 1
+        return self.content * g, [(m, c // g) for m, c in self.ints.items()]
 
     def derivative(self, which: int) -> "IntBiPoly":
         out = {}
@@ -299,19 +308,6 @@ def integer_pencil(g0: BiPoly, g1: BiPoly):
         return IntBiPoly(content, {m: c for m, c in terms.items() if c})
 
     return node
-
-
-def _int_terms(p):
-    """(content, [(monomial, int)]): p = content * the primitive integer terms.
-
-    p is a BiPoly or an IntBiPoly; the content is positive either way.
-    """
-    if isinstance(p, IntBiPoly):
-        g = math.gcd(*p.ints.values())
-        return p.content * g, [(m, c // g) for m, c in p.ints.items()]
-    terms = list(p.terms())
-    content, ints = int_clear([c for _, c in terms])
-    return content, [(m, x) for (m, _), x in zip(terms, ints)]
 
 
 class GradientReducer:
@@ -352,7 +348,7 @@ class GradientReducer:
         # lead position -> primitive integer row as (position, value) pairs, lead first
         self.pivots = {}
         for dp in (g.derivative(0), g.derivative(1)):
-            _, terms = _int_terms(dp)
+            _, terms = dp.int_terms()
             for a1, a2 in _monomials_leq(degree - (n - 1)):
                 v = [0] * self.dim
                 for (i, j), c in terms:
@@ -421,7 +417,7 @@ class GradientReducer:
         rows = {}  # basis monomial -> (rational scale, primitive integer row)
         for m in self.basis:
             if m == (0, 0):
-                factor, terms = _int_terms(g)
+                factor, terms = g.int_terms()
             else:
                 step = (0, 1) if m[1] else (1, 0)
                 factor, ints = rows[(m[0] - step[0], m[1] - step[1])]

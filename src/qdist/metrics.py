@@ -226,21 +226,31 @@ def variety_pencil(e: Quadric, v: LinearVariety) -> ParamPoly:
     return _corner_pencil(rows, mu, MU)
 
 
-def bordered_point_pencil(a, b, c, x0: VectorQ) -> ParamPoly:
-    """Pencil of X^T A X + 2 B^T X + c = 0 against the point x0.
+def bordered_point_rows(a, b, c, x0: VectorQ, mu):
+    """Rows of the point pencil's bordered matrix, without its z term.
 
-    The (n+1) bordered determinant with rows [A - mu I | B + mu x0] and
-    [(B + mu x0)^T | c - mu |x0|^2 + mu z]; ``a`` is a sequence of rows.
+    [A - mu I | B + mu x0] and [(B + mu x0)^T | c - mu |x0|^2]; ``a`` is a
+    sequence of rows, and the entries and ``mu`` lie in any polynomial ring
+    that holds mu. The pencil adds mu * z to the last diagonal entry.
     """
     n = len(a)
-    mu = UniPoly.x(MU)
     border = [b[i] + mu * x0[i] for i in range(n)]
     rows = [
         [a[i][j] - (mu if i == j else 0) for j in range(n)] + [border[i]]
         for i in range(n)
     ]
-    rows.append(border + [UniPoly((c, -x0.dot(x0)), MU)])
-    return _corner_pencil(rows, mu, MU)
+    rows.append(border + [c - mu * x0.dot(x0)])
+    return rows
+
+
+def bordered_point_pencil(a, b, c, x0: VectorQ) -> ParamPoly:
+    """Pencil of X^T A X + 2 B^T X + c = 0 against the point x0.
+
+    The (n+1) bordered determinant of ``bordered_point_rows`` over Q[mu],
+    with mu z added to its last diagonal entry.
+    """
+    mu = UniPoly.x(MU)
+    return _corner_pencil(bordered_point_rows(a, b, c, x0, mu), mu, MU)
 
 
 def point_pencil(e: Quadric, x0: VectorQ) -> ParamPoly:

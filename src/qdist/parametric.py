@@ -26,6 +26,7 @@ from .metrics import (
     _finish_with_recovery,
     _root_info,
     _scaled_pencil_residuals,
+    bordered_point_rows,
     normalize,
     point_pairing,
 )
@@ -112,25 +113,21 @@ def _as_tpoly(e):
 def _family_pencil(fam: QuadricFamily, x0: VectorQ):
     """The point pencil of every member at once, as integer polynomials in t.
 
-    The bordered determinant of ``metrics.bordered_point_pencil``, with
-    A(t), B(t) and c(t) in its entries, is det(rows) + z * mu * det(rows
-    without the last row and column), both polynomials in (mu, t). Returns
-    (content, [(p0, p1)]): the pencil's mu^j coefficient at t is
-    content * (p0(t) + z * p1(t)), with p0 and p1 ascending integer vectors.
+    With A(t), B(t) and c(t) in the entries of ``bordered_point_rows``, the
+    pencil is det(rows) + z * mu * det(rows without the last row and
+    column), both polynomials in (mu, t). Returns (content, [(p0, p1)]):
+    the pencil's mu^j coefficient at t is content * (p0(t) + z * p1(t)),
+    with p0 and p1 ascending integer vectors.
     """
-    n = fam.dim
     vars = (MU, TVAR)
-    mu = BiPoly.variable(0, vars)
 
     def lift(p: UniPoly) -> BiPoly:
         return BiPoly([list(p.coeffs)], vars)
 
-    border = [lift(fam.b[i]) + mu * x0[i] for i in range(n)]
-    rows = [
-        [lift(fam.a[i][j]) - (mu if i == j else 0) for j in range(n)] + [border[i]]
-        for i in range(n)
-    ]
-    rows.append(border + [lift(fam.c) - mu * x0.dot(x0)])
+    mu = BiPoly.variable(0, vars)
+    rows = bordered_point_rows(
+        [[lift(e) for e in row] for row in fam.a], [lift(e) for e in fam.b], lift(fam.c), x0, mu
+    )
     d0 = det_bipoly_matrix(rows, vars)
     slope = det_bipoly_matrix([row[:-1] for row in rows[:-1]], vars) * mu
     # coeffs[j] of a BiPoly in (mu, t) is the t-vector of its mu^j coefficient
@@ -399,11 +396,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     try:
         pairing = point_pairing(fam.member(best.t), x0)
         if not pairing.report.intersecting:
-            member = best.member
-            if member.poly.degree != surface.deg1:
-                # F(z, t) drops degree at this t: use the member's own F
-                member = _Member(pairing.distance_poly())
-            sub = _finish_with_recovery(pairing, bits, member.zeros(bits))
+            sub = _finish_with_recovery(pairing, bits, best.member.zeros(bits))
             if sub.nearest_pairs:
                 report.nearest_pairs = sub.nearest_pairs
                 report.multipliers = sub.multipliers

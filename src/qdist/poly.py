@@ -834,6 +834,13 @@ class BiPoly:
                 if c:
                     yield (i, j), c
 
+    def int_terms(self):
+        """(content, [(monomial, int)]): self is content times the primitive
+        integer terms, and the content is positive (0 for the zero poly)."""
+        terms = list(self.terms())
+        content, ints = int_clear([c for _, c in terms])
+        return content, [(m, x) for (m, _), x in zip(terms, ints)]
+
     def __add__(self, other):
         if not isinstance(other, BiPoly):
             other = BiPoly.const(other, self.vars)

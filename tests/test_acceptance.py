@@ -167,7 +167,7 @@ def _sweep_psi(ell, x0, y0):
     body = UniPoly(raw.coeffs[trailing_z_power(raw):], "z")
     if body.degree < 2:
         return QQ(0)
-    return discriminant_uni(body)
+    return discriminant_uni(body.coeffs)
 
 
 def test_criterion_3_point_to_ellipse():
@@ -326,7 +326,7 @@ def test_criterion_7a_discriminant_vs_resultant():
     for _ in range(120):
         p = rand_poly(rng, rng.randint(2, 8))
         n = p.degree
-        assert discriminant_uni(p) == QQ(n) ** n * p.lead**n * bezout_matrix(p).det
+        assert discriminant_uni(p.coeffs) == QQ(n) ** n * p.lead**n * bezout_matrix(p).det
         assert resultant(p, p.derivative()) == sylvester_resultant(p, p.derivative())
     _pass("7a", "discriminant equals the subresultant-sequence resultant (120 cases)",
           t0, 120.0)

@@ -76,15 +76,15 @@ def test_quintic_multiple_zeros_at_special_parameters():
 
 
 def test_discriminant_uni_examples():
-    assert discriminant_uni(X**2 + 3 * X + 2) == -1
-    assert discriminant_uni((X - 1) ** 2 * (X + 5)) == 0
+    assert discriminant_uni((X**2 + 3 * X + 2).coeffs) == -1
+    assert discriminant_uni(((X - 1) ** 2 * (X + 5)).coeffs) == 0
 
 
 def test_discriminant_definition_product_oracle():
     # lead^(deg g') * product of g'(roots of g) for a factored example
     g = (X + 1) * (X + 2)
     dg = g.derivative()
-    assert discriminant_uni(g) == dg.eval(-1) * dg.eval(-2)
+    assert discriminant_uni(g.coeffs) == dg.eval(-1) * dg.eval(-2)
 
 
 def test_discriminant_matches_resultant():
@@ -94,7 +94,7 @@ def test_discriminant_matches_resultant():
     for _ in range(120):
         p = rand_poly(rng, rng.randint(2, 8))
         n = p.degree
-        assert discriminant_uni(p) == QQ(n) ** n * p.lead**n * bezout_matrix(p).det
+        assert discriminant_uni(p.coeffs) == QQ(n) ** n * p.lead**n * bezout_matrix(p).det
 
 
 def test_discriminant_scaling_laws():
@@ -105,10 +105,10 @@ def test_discriminant_scaling_laws():
         n = rng.randint(2, 6)
         p = rand_poly(rng, n)
         c = rand_rat(rng, 1, 7, 3)
-        assert discriminant_uni(p * c) == c ** (2 * n - 1) * discriminant_uni(p)
+        assert discriminant_uni((p * c).coeffs) == c ** (2 * n - 1) * discriminant_uni(p.coeffs)
         if p.eval(0):
-            lhs = discriminant_uni(p.shift_up(1))
-            rhs = (-1) ** n * p.eval(0) ** 2 * discriminant_uni(p)
+            lhs = discriminant_uni(p.shift_up(1).coeffs)
+            rhs = (-1) ** n * p.eval(0) ** 2 * discriminant_uni(p.coeffs)
             assert lhs == rhs
 
 
@@ -523,7 +523,7 @@ def test_discriminant_param_interpolation():
     z = UniPoly.x("z")
     assert f == 4 - z * z or f == z * z - 4
     # direct check at a node
-    assert f.eval(3) == discriminant_uni(pp.eval_param(3))
+    assert f.eval(3) == discriminant_uni(pp.eval_param(3).coeffs)
 
 
 def test_last_row_cofactors_field():

@@ -632,7 +632,7 @@ def test_point_leading_coefficient_structure():
         raw = discriminant_param(point_pencil(q, x0), degree_bound=6)
         lead = raw.coeffs[-1]
         cp = char_poly(a, "mu")  # det(mu I - A); same discriminant as det(A - mu I)
-        ref = determinant(a) ** 2 * discriminant_uni(cp)
+        ref = determinant(a) ** 2 * discriminant_uni(cp.coeffs)
         ratios.add(lead / ref)
     assert len(ratios) == 1
 

@@ -7,7 +7,7 @@ from helpers import per_node_family_surface, rand_rat, workload_problems
 from qdist.cli import ProblemFile
 from qdist.errors import InputError, NoPositiveRootError
 from qdist.linalg import MatrixQ, VectorQ
-from qdist.metrics import solve_point
+from qdist.metrics import point_pairing, solve_point
 from qdist.parametric import (
     QuadricFamily,
     family_distance_poly,
@@ -231,17 +231,18 @@ def test_family_surface_matches_per_node_pencils():
         assert family_distance_surface(fam, x0) == per_node_family_surface(fam, x0)
 
 
-def test_family_solve_builds_no_member_distance_poly(monkeypatch):
-    # the winning member's F is the surface at its t up to a constant, so
-    # recovery reads the zeros validation isolated and builds no second F
-    from qdist import metrics
-
-    def forbidden(*args):
-        raise AssertionError("member distance polynomial rebuilt")
-
+def test_member_f_is_the_surface_at_its_t():
+    # recovery reads the winning member's zeros off the surface at its t:
+    # the member's own F must be that polynomial up to a constant factor,
+    # at the winning t and at the interval's ends (a member through the
+    # origin has no normalized form, and recovery skips it)
     cases = list(_golden_family_cases()) + list(_workload_families((1,), 6))
-    expected = [family_solve(fam, x0) for fam, x0 in cases]
-    monkeypatch.setattr(metrics, "point_distance_poly", forbidden)
-    for (fam, x0), rep in zip(cases, expected):
-        again = family_solve(fam, x0)
-        assert again.nearest_pairs and again.nearest_pairs == rep.nearest_pairs
+    assert len(cases) == 5
+    for fam, x0 in cases:
+        surface = family_distance_surface(fam, x0)
+        t_star = family_solve(fam, x0).t_star
+        for t in (t_star,) + (fam.interval or ()):
+            if not fam.c.eval(t):
+                continue
+            own = point_pairing(fam.member(t), x0).distance_poly()
+            assert surface.eval_var(1, t).normalized() == own.normalized()
