@@ -41,7 +41,7 @@ from .metrics import (
     variety_intersects,
 )
 from .parametric import QuadricFamily, family_distance_poly, family_solve
-from .poly import BiPoly, ParamPoly, RatFunc, UniPoly, divrem, gcd_squarefree, resultant
+from .poly import BiPoly, RatFunc, UniPoly, divrem, gcd_squarefree, resultant
 from .discrim import (
     BezoutData,
     bezout_matrix,

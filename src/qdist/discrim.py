@@ -35,7 +35,6 @@ from .linalg import MatrixQ, _det_bareiss_int, char_poly, determinant
 from .poly import (
     BiPoly,
     NodeValues,
-    ParamPoly,
     UniPoly,
     _first_subresultant,
     _iderivative,
@@ -477,25 +476,27 @@ def multiple_zero_biv(data: BezoutData, strict: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def discriminant_param(pp: ParamPoly, degree_bound=None) -> UniPoly:
+def discriminant_param(pp: BiPoly, degree_bound=None) -> UniPoly:
     """Discriminant in the main variable of a parameter-dependent polynomial.
 
-    Returns the exact polynomial in the parameter (unnormalized; callers
-    usually take the primitive part). Nodes where the leading coefficient
-    vanishes are skipped so every evaluation sees the generic degree.
+    pp is a pencil: a BiPoly whose first variable is the main one and whose
+    second is the parameter, so row i of ``pp.coeffs`` is the parameter
+    polynomial of main^i. Returns the exact polynomial in the parameter
+    (unnormalized; callers usually take the primitive part). Nodes where the
+    leading coefficient vanishes are skipped so every evaluation sees the
+    generic degree.
 
     pp is cleared once to content * integer coefficients, so each node is an
     integer Horner evaluation and an integer discriminant. The discriminant
     of content * g is content^(2n - 1) times that of g, for main degree n.
     """
-    n = pp.degree
+    n = pp.deg1
     if n < 2:
         raise ValueError("main degree must be at least 2")
-    dz = max(pp.param_degree, 0)
-    bound = degree_bound if degree_bound is not None else 2 * n * max(dz, 1)
-    content, flat = int_clear([x for c in pp.coeffs for x in c.coeffs])
-    ints = iter(flat)
-    rows = [[next(ints) for _ in c.coeffs][::-1] for c in pp.coeffs]  # descending
+    bound = degree_bound if degree_bound is not None else 2 * n * max(pp.deg2, 1)
+    content, flat = int_clear([x for row in pp.coeffs for x in row])
+    width = pp.deg2 + 1
+    rows = [flat[i : i + width][::-1] for i in range(0, len(flat), width)]  # descending
 
     def compute(t):
         values = []
@@ -508,7 +509,7 @@ def discriminant_param(pp: ParamPoly, degree_bound=None) -> UniPoly:
             return None
         return discriminant_uni(values)
 
-    return interpolate_verified(compute, bound, pp.param_var) * content ** (2 * n - 1)
+    return interpolate_verified(compute, bound, pp.vars[1]) * content ** (2 * n - 1)
 
 
 def discriminant_biv_param(

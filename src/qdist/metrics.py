@@ -37,7 +37,7 @@ from .linalg import (
     rank,
     solve_linear,
 )
-from .poly import BiPoly, ParamPoly, UniPoly
+from .poly import BiPoly, UniPoly
 from .realroots import (
     MIXED_OR_ZERO,
     NO_REAL_ROOTS,
@@ -190,24 +190,21 @@ def _check_nonempty(q: Quadric, d: str, subject: str):
 # ---------------------------------------------------------------------------
 
 
-def _corner_pencil(rows, z_coeff, var) -> ParamPoly:
+def _corner_pencil(rows, z_coeff, var) -> BiPoly:
     """det(rows) + z * z_coeff * det(rows without the last row and column).
 
     ``rows`` is a square matrix of UniPoly or scalar entries in ``var``;
     z enters only its last diagonal entry, with coefficient ``z_coeff``. The
-    result is a polynomial in ``var`` with z-linear coefficients.
+    result is a BiPoly in (``var``, z), main variable first: row j holds the
+    z-linear coefficient of var^j.
     """
     d0 = det_unipoly_matrix(rows, var)
     slope = z_coeff * det_unipoly_matrix([row[:-1] for row in rows[:-1]], var)
     deg = max(d0.degree, slope.degree)
-    return ParamPoly(
-        [UniPoly((d0.coeff(j), slope.coeff(j)), ZVAR) for j in range(deg + 1)],
-        var,
-        ZVAR,
-    )
+    return BiPoly([(d0.coeff(j), slope.coeff(j)) for j in range(deg + 1)], (var, ZVAR))
 
 
-def variety_pencil(e: Quadric, v: LinearVariety) -> ParamPoly:
+def variety_pencil(e: Quadric, v: LinearVariety) -> BiPoly:
     """The bordered-determinant pencil for an ellipsoid vs linear variety.
 
     det([A | C | B; mu C^T | G | -mu h; B^T | -h^T | -1 + mu z]): the rows
@@ -243,7 +240,7 @@ def bordered_point_rows(a, b, c, x0: VectorQ, mu):
     return rows
 
 
-def bordered_point_pencil(a, b, c, x0: VectorQ) -> ParamPoly:
+def bordered_point_pencil(a, b, c, x0: VectorQ) -> BiPoly:
     """Pencil of X^T A X + 2 B^T X + c = 0 against the point x0.
 
     The (n+1) bordered determinant of ``bordered_point_rows`` over Q[mu],
@@ -253,13 +250,16 @@ def bordered_point_pencil(a, b, c, x0: VectorQ) -> ParamPoly:
     return _corner_pencil(bordered_point_rows(a, b, c, x0, mu), mu, MU)
 
 
-def point_pencil(e: Quadric, x0: VectorQ) -> ParamPoly:
+def point_pencil(e: Quadric, x0: VectorQ) -> BiPoly:
     """Pencil for the point-to-quadric problem: the (n+1) bordered determinant."""
     return bordered_point_pencil(e.a.entries, e.b, QQ(-1), x0)
 
 
-def centered_pencil(q1: Quadric, q2: Quadric) -> ParamPoly:
-    """det(lam A1 + (z - lam) A2 - lam (z - lam) A1 A2) as a pencil in lam, z."""
+def centered_pencil(q1: Quadric, q2: Quadric) -> BiPoly:
+    """det(lam A1 + (z - lam) A2 - lam (z - lam) A1 A2) as a pencil in lam, z.
+
+    The BiPoly's first variable is lam, the main one, and its second is z.
+    """
     n = q1.dim
     lam = BiPoly.variable(0, (LAM, ZVAR))
     z = BiPoly.variable(1, (LAM, ZVAR))
@@ -275,11 +275,10 @@ def centered_pencil(q1: Quadric, q2: Quadric) -> ParamPoly:
             )
             row.append(entry)
         rows.append(row)
-    det = det_bipoly_matrix(rows, (LAM, ZVAR))
-    return det.as_parampoly(0)
+    return det_bipoly_matrix(rows, (LAM, ZVAR))
 
 
-def general_sign_pencil(q1: Quadric, q2: Quadric) -> ParamPoly:
+def general_sign_pencil(q1: Quadric, q2: Quadric) -> BiPoly:
     """Pencil whose discriminant's real-root signs certify intersection.
 
     det([A2 - lam A1 | B2 - lam B1; (B2 - lam B1)^T | lam - 1 - z]).
@@ -373,7 +372,7 @@ def centered_intersects(q1: Quadric, q2: Quadric):
     return cls not in (POSITIVE_DEFINITE, NEGATIVE_DEFINITE), cls
 
 
-def _critical_sign_range(pencil: ParamPoly):
+def _critical_sign_range(pencil: BiPoly):
     """Signs of the second quadric's function over the first ellipsoid.
 
     The critical points of V(X) = X^T A2 X + 2 B2^T X - 1 on the first
@@ -395,10 +394,10 @@ def _critical_sign_range(pencil: ParamPoly):
     from .realroots import count_roots
 
     bits = 96
-    c0 = pencil.eval_param(0)
-    c1 = pencil.eval_param(1) - c0
+    c0 = pencil.eval_var(1, 0)
+    c1 = pencil.eval_var(1, 1) - c0
     h = c0.derivative() * c1 - c0 * c1.derivative()
-    v_num = UniPoly.x(pencil.main_var) * h - c0 * c1
+    v_num = UniPoly.x(pencil.vars[0]) * h - c0 * c1
     if not h:
         raise DegeneracyError("degenerate-critical-system", "constraint vanishes")
     # strip multiplier values where the parameterization blows up
@@ -505,18 +504,20 @@ def point_distance_poly(e: Quadric, x0: VectorQ) -> UniPoly:
     )
 
 
-def _squarefree_in_main(pencil: ParamPoly) -> ParamPoly:
+def _squarefree_in_main(pencil: BiPoly) -> BiPoly:
     """Divide a pencil by its repeated main-variable factors.
 
-    Works over the rational-function field in the parameter, then clears
-    denominators; used when the raw discriminant degenerates identically
-    (coaxial or concentric configurations with repeated pencil factors).
+    The pencil and the result are BiPolys with the main variable first and
+    the parameter second. Works over the rational-function field in the
+    parameter, then clears denominators; used when the raw discriminant
+    degenerates identically (coaxial or concentric configurations with
+    repeated pencil factors).
     """
     from .poly import RatFunc, divrem, field_gcd
 
-    var = pencil.param_var
-    coeffs = [RatFunc(c) for c in pencil.coeffs]
-    g = UniPoly(coeffs, pencil.main_var)
+    main, var = pencil.vars
+    coeffs = [RatFunc(UniPoly(row, var)) for row in pencil.coeffs]
+    g = UniPoly(coeffs, main)
     dg = g.derivative()
     h = field_gcd(g, dg)
     if h.degree == 0:
@@ -530,8 +531,7 @@ def _squarefree_in_main(pencil: ParamPoly) -> ParamPoly:
     for c in sf.coeffs:
         d = c.den
         lcm = (lcm * d) / poly_gcd(lcm, d)
-    new_coeffs = [c.num * (lcm / c.den) for c in sf.coeffs]
-    return ParamPoly(new_coeffs, pencil.main_var, var)
+    return BiPoly([(c.num * (lcm / c.den)).coeffs for c in sf.coeffs], pencil.vars)
 
 
 def centered_distance_poly(q1: Quadric, q2: Quadric) -> UniPoly:
@@ -547,7 +547,7 @@ def centered_distance_poly(q1: Quadric, q2: Quadric) -> UniPoly:
     f = discriminant_param(pencil, degree_bound=4 * n * n)
     if not f:
         reduced = _squarefree_in_main(pencil)
-        if reduced.degree < 2:
+        if reduced.deg1 < 2:
             raise DegeneracyError(
                 "identically-zero-discriminant",
                 "pencil reduces below quadratic degree",
@@ -563,14 +563,14 @@ def general_z_pencil(q1: Quadric, q2: Quadric):
     return g0, general_bipoly_at(q1, q2, 1) - g0
 
 
-def _general_raw(q1: Quadric, q2: Quadric, pencil=None) -> UniPoly:
+def _general_raw(q1: Quadric, q2: Quadric, pencil) -> UniPoly:
     n = q1.dim
-    g0, g1 = pencil() if pencil else general_z_pencil(q1, q2)
+    g0, g1 = pencil
     bound = 2 * n * (n + 1) + 2 * n * n
     return discriminant_biv_param(integer_pencil(g0, g1), n + 2, bound, var=ZVAR)
 
 
-def general_distance_poly_full(q1: Quadric, q2: Quadric, pencil=None):
+def general_distance_poly_full(q1: Quadric, q2: Quadric, pencil):
     """(F(z), extraneous square factor) for two quadrics in general position.
 
     The two-multiplier discriminant carries, on top of the critical values of
@@ -578,8 +578,8 @@ def general_distance_poly_full(q1: Quadric, q2: Quadric, pencil=None):
     degree dim*(dim-1). It is recognized by exactly that signature in the
     square-free decomposition and divided out; when the signature is absent
     (coincident genuine double zeros) the raw polynomial is returned intact
-    and candidate validation downstream copes with it. ``pencil()``, when
-    given, returns the pair's ``general_z_pencil``, so a caller can keep it.
+    and candidate validation downstream copes with it. ``pencil`` is the
+    pair's ``general_z_pencil``.
     """
     from .poly import squarefree_decomposition
 
@@ -629,12 +629,12 @@ def _scaled_pencil_residuals(g: UniPoly, mu):
     return r0, r1
 
 
-def _pencil_multiple_zero(pencil: ParamPoly, z_hat, bits: int):
+def _pencil_multiple_zero(pencil: BiPoly, z_hat, bits: int):
     """(snapped multiple zero, scaled residuals) of the pencil at a snapped z.
 
     Raises when the residuals fail the acceptance gate.
     """
-    g = pencil.eval_param(z_hat)
+    g = pencil.eval_var(1, z_hat)
     root = snap(multiple_zero_near(g), bits)
     r0, r1 = _scaled_pencil_residuals(g, root)
     tol = tolerance(bits)
@@ -720,13 +720,13 @@ def centered_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128):
     return x, y, {"lam": lam, "pencil_residuals": residuals}
 
 
-def general_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128, pencil=None):
+def general_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int, pencil):
     """Nearest points for general quadrics via the two recovered multipliers.
 
-    ``pencil`` is the pair's ``general_z_pencil`` when the caller holds it.
+    ``pencil`` is the pair's ``general_z_pencil``.
     """
     z_hat = snap(z_hat, bits)
-    g = general_bipoly_at(q1, q2, z_hat) if pencil is None else pencil[0] + z_hat * pencil[1]
+    g = pencil[0] + z_hat * pencil[1]
     data = bezout_matrix_biv(g)
     mu1, mu2 = multiple_zero_biv(data, strict=False)
     mu1 = snap(mu1, bits)
@@ -1060,7 +1060,7 @@ def general_pairing(q1: Quadric, q2: Quadric) -> Pairing:
     pencil = functools.cache(lambda: general_z_pencil(q1, q2))  # F builds, recovery reads
 
     def distance_poly():
-        f, square = general_distance_poly_full(q1, q2, pencil)
+        f, square = general_distance_poly_full(q1, q2, pencil())
         if square is not None and square.degree > 0:
             report.warnings.append(
                 "extraneous square factor removed from the distance polynomial"

@@ -30,7 +30,7 @@ from .metrics import (
     normalize,
     point_pairing,
 )
-from .poly import BiPoly, ParamPoly, UniPoly, _ieval, interpolate_verified
+from .poly import BiPoly, UniPoly, _ieval, interpolate_verified
 from .realroots import (
     IsolatingInterval,
     count_roots,
@@ -162,13 +162,11 @@ def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
     def coefficients(t):
         # z-coefficients of the member's distance polynomial, from the
         # unnormalized data of its point pencil
-        pencil = ParamPoly(
-            [UniPoly((content * _ieval(p0, t), content * _ieval(p1, t)), ZVAR)
-             for p0, p1 in pencil_t],
-            MU,
-            ZVAR,
+        pencil = BiPoly(
+            [(content * _ieval(p0, t), content * _ieval(p1, t)) for p0, p1 in pencil_t],
+            (MU, ZVAR),
         )
-        if pencil.degree != n + 1:
+        if pencil.deg1 != n + 1:
             return None
         try:
             return discriminant_param(pencil, degree_bound=2 * (n + 1)).coeffs
@@ -207,9 +205,9 @@ def family_distance_poly(
             # constant family: the single member carries the answer
             fa = surface.eval_var(1, QQ(0)).normalized()
         return None, fa, fb
-    pp = surface.as_parampoly(1)  # main variable t, parameter z
-    deg_z = surface.deg1
-    bound = (2 * deg_t - 1) * max(deg_z, 1)
+    # the surface's pencil in t: main variable t first, parameter z second
+    pp = BiPoly.from_terms({(j, i): c for (i, j), c in surface.terms()}, (TVAR, ZVAR))
+    bound = (2 * deg_t - 1) * max(surface.deg1, 1)
     big_f = discriminant_param(pp, degree_bound=bound)
     if not big_f:
         return None, fa, fb

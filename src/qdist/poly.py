@@ -5,9 +5,10 @@ Coefficients are exact rationals; they may also be RatFunc values (rational
 functions of one symbolic parameter) so that a parameter can ride along
 through division and determinant computations.
 
-ParamPoly is a polynomial in a main variable whose coefficients are
-themselves univariate polynomials in a second (parameter) variable.
-BiPoly is a dense bivariate polynomial on a coefficient grid.
+BiPoly is a dense bivariate polynomial on a coefficient grid. A pencil,
+whose discriminant in one variable is a polynomial in the other, is a
+BiPoly with the main variable (mu or lam) first and the parameter (z)
+second: row i of its grid is the parameter polynomial of main^i.
 
 The exact kernels work on primitive integer coefficient lists and return
 rational polynomials: gcds (the heuristic gcd, with the primitive remainder
@@ -481,15 +482,9 @@ def resultant(p: UniPoly, q: UniPoly):
     """
     if not p or not q:
         raise ValueError("resultant of the zero polynomial")
-    dp, dq = p.degree, q.degree
-    if dp == 0:
-        return p.coeffs[0] ** dq
-    if dq == 0:
-        return q.coeffs[0] ** dp
     cp, a = int_clear(p.coeffs)
     cq, b = int_clear(q.coeffs)
-    factor = cp**dq * cq**dp
-    return factor * _int_resultant(a, b)
+    return cp**q.degree * cq**p.degree * _int_resultant(a, b)
 
 
 def _subresultant_prs(a, b):
@@ -522,6 +517,12 @@ def _subresultant_prs(a, b):
 
 
 def _int_resultant(a, b):
+    """resultant(a, b) of nonzero integer vectors; a constant operand c
+    gives c^(degree of the other)."""
+    if _ideg(a) == 0:
+        return a[0] ** _ideg(b)
+    if _ideg(b) == 0:
+        return b[0] ** _ideg(a)
     s = 1
     if _ideg(a) < _ideg(b):
         if (_ideg(a) % 2 == 1) and (_ideg(b) % 2 == 1):
@@ -676,80 +677,6 @@ class RatFunc:
         if self.den == UniPoly.const(1, self.den.var):
             return f"({self.num!r})"
         return f"({self.num!r})/({self.den!r})"
-
-
-# ---------------------------------------------------------------------------
-# polynomials with polynomial coefficients (one main + one parameter variable)
-# ---------------------------------------------------------------------------
-
-
-class ParamPoly:
-    """Polynomial in a main variable with UniPoly coefficients in a parameter."""
-
-    __slots__ = ("coeffs", "main_var", "param_var")
-
-    def __init__(self, coeffs, main_var="x", param_var="z"):
-        cs = []
-        for c in coeffs:
-            if not isinstance(c, UniPoly):
-                c = UniPoly.const(c, param_var)
-            cs.append(c)
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "main_var", main_var)
-        object.__setattr__(self, "param_var", param_var)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ParamPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def param_degree(self) -> int:
-        return max((c.degree for c in self.coeffs), default=-1)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, ParamPoly) and self.coeffs == other.coeffs
-
-    def coeff(self, k) -> UniPoly:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return UniPoly.zero(self.param_var)
-
-    def eval_param(self, value) -> UniPoly:
-        """Substitute the parameter; result is univariate in the main variable."""
-        return UniPoly([c.eval(value) for c in self.coeffs], self.main_var)
-
-    def derivative_main(self) -> "ParamPoly":
-        return ParamPoly(
-            [i * c for i, c in enumerate(self.coeffs)][1:],
-            self.main_var,
-            self.param_var,
-        )
-
-    def derivative_param(self) -> "ParamPoly":
-        return ParamPoly(
-            [c.derivative() for c in self.coeffs], self.main_var, self.param_var
-        )
-
-    def derivative(self, which: str) -> "ParamPoly":
-        if which == self.main_var:
-            return self.derivative_main()
-        if which == self.param_var:
-            return self.derivative_param()
-        raise ValueError(f"unknown variable {which!r}")
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            terms.append(f"({c!r})*{self.main_var}^{i}")
-        return " + ".join(reversed(terms)) or "0"
 
 
 class BiPoly:
@@ -923,16 +850,6 @@ class BiPoly:
                 acc = acc * value + c
             out.append(acc)
         return UniPoly(out, self.vars[0])
-
-    def as_parampoly(self, main_index: int = 0) -> ParamPoly:
-        """View with vars[main_index] as the main variable."""
-        if main_index == 0:
-            cs = [UniPoly(row, self.vars[1]) for row in self.coeffs]
-            return ParamPoly(cs, self.vars[0], self.vars[1])
-        cs = []
-        for j in range(self.deg2 + 1):
-            cs.append(UniPoly([row[j] for row in self.coeffs], self.vars[0]))
-        return ParamPoly(cs, self.vars[1], self.vars[0])
 
     def __repr__(self):
         parts = []

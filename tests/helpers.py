@@ -355,7 +355,7 @@ def per_node_family_surface(fam, x0):
             fam.c.eval(t),
             x0,
         )
-        if pencil.degree != n + 1:
+        if pencil.deg1 != n + 1:
             return None
         try:
             return discriminant_param(pencil, degree_bound=2 * (n + 1)).coeffs

@@ -29,7 +29,7 @@ from qdist.discrim import (
 from qdist.errors import DegeneracyError
 from qdist.linalg import MatrixQ, VectorQ, det_unipoly_matrix, determinant, rank, solve_linear
 from qdist.metrics import general_bipoly_at, normalize
-from qdist.poly import BiPoly, ParamPoly, RatFunc, UniPoly, _first_subresultant, divrem, integer_nodes
+from qdist.poly import BiPoly, RatFunc, UniPoly, _first_subresultant, divrem, integer_nodes
 from qdist.realroots import isolate_real_roots, refine
 from qdist.scalar import QQ, int_clear
 
@@ -517,13 +517,17 @@ def test_discriminant_biv_stationary_product_oracle():
 def test_discriminant_param_interpolation():
     # discriminant in mu of (mu^2 + z*mu + 1) is z^2 - 4 up to the pinned
     # normalization (resultant convention): N^N*b0^N*detB = z^2 - 4 exactly
-    pp = ParamPoly([UniPoly.const(1, "z"), UniPoly([0, 1], "z"), UniPoly.const(1, "z")],
-                   "mu", "z")
+    pp = BiPoly([[1], [0, 1], [1]], ("mu", "z"))
     f = discriminant_param(pp)
     z = UniPoly.x("z")
     assert f == 4 - z * z or f == z * z - 4
     # direct check at a node
-    assert f.eval(3) == discriminant_uni(pp.eval_param(3).coeffs)
+    assert f.eval(3) == discriminant_uni(pp.eval_var(1, 3).coeffs)
+    # mu-coefficients of unequal z-degree: the grid pads rows 0 and 1 with zeros
+    pp = BiPoly([[3], [0, 1], [1, 0, 1]], ("mu", "z"))
+    f = discriminant_param(pp)
+    for z in range(-2, 3):
+        assert f.eval(z) == discriminant_uni(pp.eval_var(1, z).coeffs)
 
 
 def test_last_row_cofactors_field():

@@ -336,13 +336,13 @@ def test_pencils_match_their_defining_determinants():
         for t, z in PENCIL_SAMPLES:
             eye = MatrixQ.identity(n).scale(t)
             border = [e.b[i] + t * x0[i] for i in range(n)]
-            assert pp.eval_param(z).eval(t) == _bordered_det(
+            assert pp.eval_var(1, z).eval(t) == _bordered_det(
                 (e.a - eye).entries, border, border, -1 - t * x0.dot(x0) + t * z
             )
-            assert vp.eval_param(z).eval(t) == _variety_det(e, v, t, z)
+            assert vp.eval_var(1, z).eval(t) == _variety_det(e, v, t, z)
             a = q2.a - e.a.scale(t)
             b = [q2.b[i] - t * e.b[i] for i in range(n)]
-            assert sp.eval_param(z).eval(t) == _bordered_det(a.entries, b, b, t - 1 - z)
+            assert sp.eval_var(1, z).eval(t) == _bordered_det(a.entries, b, b, t - 1 - z)
 
 
 def test_orthonormal_variety_pencil_matches_reduced_form():
@@ -354,7 +354,7 @@ def test_orthonormal_variety_pencil_matches_reduced_form():
         for mu, z in PENCIL_SAMPLES:
             a = e.a - cct.scale(mu)
             reduced = _bordered_det(a.entries, e.b, e.b, -1 + mu * z)
-            assert pencil.eval_param(z).eval(mu) == reduced == _variety_det(e, v, mu, z)
+            assert pencil.eval_var(1, z).eval(mu) == reduced == _variety_det(e, v, mu, z)
 
 
 def test_point_distance_poly_factorization_on_axis():
@@ -501,7 +501,8 @@ def test_general_distance_poly_deflated_branch():
     # a circle against an ellipse on its axis: the bivariate determinant
     # vanishes at every node, so F(z) comes from the deflated values
     e = ellipsoid_at(MatrixQ([[1, 0], [0, 4]]), VectorQ([4, 0]))
-    f, square = general_distance_poly_full(unit_circle(), e)
+    circle = unit_circle()
+    f, square = general_distance_poly_full(circle, e, general_z_pencil(circle, e))
     assert square is None
     assert f.coeffs == tuple(QQ(c) for c in (
         1046872756224, 40389215744, -30833811312, -11824906824, -236680415,
@@ -539,10 +540,10 @@ def test_general_bipoly_is_affine_in_z(pair):
 
 def test_general_recovery_reads_the_pencil_of_f():
     # solve_general recovers from the z-pencil that F was built from; a fresh
-    # build of the determinant at z* must give the same points and multipliers
+    # build of the pencil must give the same points and multipliers
     q1, q2 = _separated_ellipses()
     rep = solve_general(q1, q2)
-    x, y, info = general_nearest_points(q1, q2, rep.z_star.value)
+    x, y, info = general_nearest_points(q1, q2, rep.z_star.value, 128, general_z_pencil(q1, q2))
     assert (rep.nearest_pairs[0].x, rep.nearest_pairs[0].y) == (tuple(x), tuple(y))
     assert rep.multipliers == info
 
@@ -551,7 +552,8 @@ def test_general_raw_stops_three_nodes_past_the_degree(monkeypatch):
     calls = []
     bezout = discrim.bezout_matrix_biv
     monkeypatch.setattr(discrim, "bezout_matrix_biv", lambda g: calls.append(g) or bezout(g))
-    raw = _general_raw(*_separated_ellipses())
+    q1, q2 = _separated_ellipses()
+    raw = _general_raw(q1, q2, general_z_pencil(q1, q2))
     # the interpolated z^k * det has degree 14; its degree bound allows 39 nodes
     assert raw.degree == 14
     assert len(calls) == raw.degree + 4
@@ -577,7 +579,7 @@ def test_pencil_derivative_matches_multiplier_identity():
     baib = e.b.dot(a_inv * e.b)
     det_a = determinant(e.a)
     z0 = QQ(5, 7)
-    phi = pencil.eval_param(z0)
+    phi = pencil.eval_var(1, z0)
     k = v.codim
 
     for _ in range(5):

@@ -18,7 +18,6 @@ from qdist.poly import (
     BiPoly,
     NewtonInterp,
     NodeValues,
-    ParamPoly,
     RatFunc,
     UniPoly,
     divrem,
@@ -158,6 +157,18 @@ def test_resultant_matches_sylvester_oracle():
         assert resultant(p, q) == sylvester_resultant(p, q)
 
 
+def test_int_resultant_takes_a_constant_operand():
+    # a constant c against degree n has resultant c^n, on either side
+    rng = random.Random(19)
+    for _ in range(40):
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 9)]
+        c = [rng.choice([-1, 1]) * rng.randint(1, 9)]
+        p, q = UniPoly(a, "x"), UniPoly(c, "x")
+        assert poly._int_resultant(a, c) == resultant(p, q) == c[0] ** (len(a) - 1)
+        assert poly._int_resultant(c, a) == resultant(q, p) == c[0] ** (len(a) - 1)
+    assert poly._int_resultant([1, 0, 1], [3]) == poly._int_resultant([3], [1, 0, 1]) == 9
+
+
 def test_resultant_zero_input_raises():
     with pytest.raises(ValueError):
         resultant(UniPoly.zero("x"), X)
@@ -273,15 +284,14 @@ def test_newton_interp_matches_fraction_oracle():
         assert it.polynomial() == oracle.polynomial() == f
 
 
-def test_parampoly_evaluation_and_derivatives():
-    # p(mu, z) = (z^2 + 1) mu^2 + z mu + 3
-    p = ParamPoly([UniPoly([3], "z"), UniPoly([0, 1], "z"), UniPoly([1, 0, 1], "z")],
-                  "mu", "z")
-    assert p.eval_param(2) == UniPoly([3, 2, 5], "mu")
-    dm = p.derivative("mu")
-    assert dm.eval_param(2) == UniPoly([2, 10], "mu")
-    dz = p.derivative("z")
-    assert dz.eval_param(2) == UniPoly([0, 1, 4], "mu")
+def test_pencil_evaluation_and_derivatives():
+    # a pencil p(mu, z) = (z^2 + 1) mu^2 + z mu + 3, main variable first
+    p = BiPoly([[3], [0, 1], [1, 0, 1]], ("mu", "z"))
+    assert p.eval_var(1, 2) == UniPoly([3, 2, 5], "mu")
+    dm = p.derivative(0)
+    assert dm.eval_var(1, 2) == UniPoly([2, 10], "mu")
+    dz = p.derivative(1)
+    assert dz.eval_var(1, 2) == UniPoly([0, 1, 4], "mu")
 
 
 def test_bipoly_arithmetic_and_eval():
