@@ -31,12 +31,13 @@ import math
 from itertools import islice
 
 from .errors import DegeneracyError
-from .linalg import MatrixQ, _det_bareiss_int, char_poly, determinant
+from .linalg import MatrixQ, _scaled_det, char_poly, cofactor, determinant
 from .poly import (
     BiPoly,
     NodeValues,
     UniPoly,
     _first_subresultant,
+    _ieval,
     _iderivative,
     _int_resultant,
     divrem,
@@ -75,20 +76,11 @@ class BezoutData:
             if self.scaled_rows is None:
                 self._det = determinant(self.matrix)
             else:
-                scale = QQ(1)
-                for factor, _ in self.scaled_rows:
-                    scale *= factor
-                self._det = scale * _det_bareiss_int([ints for _, ints in self.scaled_rows])
+                self._det = _scaled_det(self.scaled_rows)
         return self._det
 
-    def _cofactor(self, i, j):
-        if self.size == 1:
-            return QQ(1)
-        minor = determinant(self.matrix.submatrix(i, j))
-        return minor if (i + j) % 2 == 0 else -minor
-
     def last_row_cofactor(self, j):
-        return self._cofactor(self.size - 1, j)
+        return cofactor(self.matrix, self.size - 1, j)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +200,7 @@ def linear_representation(g: UniPoly):
     data = bezout_matrix(g)
     m = data.size
     B = data.matrix
-    cof0 = [data._cofactor(l, 0) for l in range(m)]
+    cof0 = [cofactor(B, l, 0) for l in range(m)]
     var = g.var
     v = UniPoly(cof0, var)
     # replacement column built from the last-column entries of the matrix
@@ -496,15 +488,10 @@ def discriminant_param(pp: BiPoly, degree_bound=None) -> UniPoly:
     bound = degree_bound if degree_bound is not None else 2 * n * max(pp.deg2, 1)
     content, flat = int_clear([x for row in pp.coeffs for x in row])
     width = pp.deg2 + 1
-    rows = [flat[i : i + width][::-1] for i in range(0, len(flat), width)]  # descending
+    rows = [flat[i : i + width] for i in range(0, len(flat), width)]
 
     def compute(t):
-        values = []
-        for row in rows:
-            acc = 0
-            for c in row:
-                acc = acc * t + c
-            values.append(acc)
+        values = [_ieval(row, t) for row in rows]
         if not values[-1]:
             return None
         return discriminant_uni(values)

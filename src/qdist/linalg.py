@@ -1,19 +1,21 @@
 """Exact dense linear algebra over the rationals.
 
-Determinants run fraction-free (denominators cleared per row, then Bareiss
-over the integers) so intermediate growth stays polynomial. The same Bareiss
-loop accepts any exact field entries (rational functions, polynomials with
-exact division), which the elimination constructions rely on.
+Determinant, rank, solution, inverse and definiteness of a rational matrix
+share one fraction-free elimination: each row is cleared of denominators,
+then Bareiss keeps every entry an integer minor, so growth stays
+polynomial. A determinant with other exact field entries (rational
+functions of a parameter) runs the same elimination, dividing in the field.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from math import lcm
+from math import prod
+from operator import floordiv, truediv
 
 from .errors import SingularMatrixError
 from .poly import UniPoly, _ieval, integer_nodes, interpolate
-from .scalar import QQ, RAT_TYPE, den, is_rational, num, rational
+from .scalar import QQ, RAT_TYPE, int_clear
 
 
 def _coerce_entry(c):
@@ -234,63 +236,54 @@ def block_matrix(blocks):
 
 
 # ---------------------------------------------------------------------------
-# determinants / solving
+# fraction-free elimination: determinants, rank, solving
 # ---------------------------------------------------------------------------
 
 
-def _det_bareiss_int(rows):
-    """Bareiss determinant of an integer matrix (list of int lists)."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri = a[i]
-            rk = a[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pivot - aik * rk[j]) // prev
-            ri[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def _pivot(a, r, c, prev, div):
+    """Clear column c below the pivot a[r][c] by one Bareiss step; returns the pivot.
+
+    The division by the previous pivot is exact (Sylvester's identity).
+    """
+    pivot, top = a[r][c], a[r]
+    for row in a[r + 1 :]:
+        f = row[c]
+        for j in range(c + 1, len(top)):
+            row[j] = div(row[j] * pivot - f * top[j], prev)
+        row[c] = 0
+    return pivot
 
 
-def _det_generic(rows):
-    """Fraction-free Bareiss over any exact field entries."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                zero = a[k][k]
-                return zero * 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                v = a[i][j] * pivot - aik * a[k][j]
-                a[i][j] = v if prev is None else v / prev
-            a[i][k] = aik * 0
-        prev = pivot
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d
+def _eliminate(a, width, div=floordiv):
+    """Fraction-free echelon form (Bareiss, Math. Comp. 1968) of the rows a,
+    in place, pivoting on the first ``width`` columns.
+
+    Returns (rank, sign of the row swaps). On integer rows every entry stays
+    an integer minor of the input. Other exact field entries (rational
+    functions of a parameter) pass ``div=truediv``.
+    """
+    r, sign, prev = 0, 1, 1
+    for c in range(width):
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            sign = -sign
+        prev = _pivot(a, r, c, prev, div)
+        r += 1
+    return r, sign
+
+
+def _det(a, div=floordiv):
+    """Determinant of the square rows a, which the elimination overwrites."""
+    r, sign = _eliminate(a, len(a), div)
+    return sign * a[-1][-1] if r == len(a) else a[0][0] * 0
+
+
+def _scaled_det(scaled_rows):
+    """Determinant of the matrix whose rows are (scale, integer row) pairs."""
+    return prod(s for s, _ in scaled_rows) * _det([list(ints) for _, ints in scaled_rows])
 
 
 def determinant(m: MatrixQ):
@@ -298,17 +291,13 @@ def determinant(m: MatrixQ):
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
     if all(isinstance(c, RAT_TYPE) for row in m.entries for c in row):
-        # clear denominators row-wise, integer Bareiss, undo scaling
-        scale, rows = 1, []
-        for row in m.entries:
-            l = lcm(*(den(c) for c in row))
-            scale *= l
-            rows.append([num(c) * (l // den(c)) for c in row])
-        return QQ(_det_bareiss_int(rows), scale)
-    return _det_generic(m.entries)
+        return _scaled_det([int_clear(row) for row in m.entries])
+    return _det([list(row) for row in m.entries], truediv)
 
 
 def cofactor(m: MatrixQ, i, j):
+    if m.rows == 1:
+        return QQ(1)
     minor = determinant(m.submatrix(i, j))
     return minor if (i + j) % 2 == 0 else -minor
 
@@ -318,77 +307,48 @@ def adjugate(m: MatrixQ) -> MatrixQ:
     if not m.is_square:
         raise ValueError("adjugate of a non-square matrix")
     n = m.rows
-    if n == 1:
-        return MatrixQ([[QQ(1)]])
-    if n <= 4:
-        return MatrixQ([[cofactor(m, j, i) for j in range(n)] for i in range(n)])
-    d = determinant(m)
+    d = determinant(m) if n > 4 else 0
     if d:
-        inv = inverse(m)
-        return inv.scale(d)
+        return inverse(m).scale(d)
     return MatrixQ([[cofactor(m, j, i) for j in range(n)] for i in range(n)])
+
+
+def _solve(m: MatrixQ, columns):
+    """The solutions x of m x = b, one per column b, from one elimination of
+    the cleared rows of [m | b ...]. Its last pivot d is the determinant of
+    the cleared m up to sign, so d * x is integral (Cramer's rule) and the
+    back substitution divides integers exactly.
+    """
+    if not m.is_square:
+        raise ValueError("solve requires a square matrix")
+    n = m.rows
+    a = [int_clear(list(row) + [b[i] for b in columns])[1] for i, row in enumerate(m.entries)]
+    if _eliminate(a, n)[0] < n:
+        raise SingularMatrixError()
+    d = a[-1][n - 1]
+    solutions = []
+    for k in range(n, n + len(columns)):
+        y = [0] * n
+        for i in reversed(range(n)):
+            row = a[i]
+            y[i] = (d * row[k] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+        solutions.append([QQ(v, d) for v in y])
+    return solutions
 
 
 def solve_linear(m: MatrixQ, rhs: VectorQ) -> VectorQ:
     """Exact solution of m x = rhs for nonsingular m."""
-    if not m.is_square:
-        raise ValueError("solve requires a square matrix")
-    if m.rows != rhs.dim:
+    if m.is_square and m.rows != rhs.dim:
         raise ValueError("shape mismatch")
-    n = m.rows
-    a = [list(row) + [rhs[i]] for i, row in enumerate(m.entries)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k]:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrixError()
-        a[k], a[piv] = a[piv], a[k]
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / pk
-            if not f:
-                continue
-            for j in range(k, n + 1):
-                a[i][j] = a[i][j] - f * a[k][j]
-    x = [QQ(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = a[k][n]
-        for j in range(k + 1, n):
-            acc = acc - a[k][j] * x[j]
-        x[k] = acc / a[k][k]
-    return VectorQ(x)
+    return VectorQ(_solve(m, [rhs])[0])
 
 
 def inverse(m: MatrixQ) -> MatrixQ:
-    cols = [solve_linear(m, VectorQ.unit(m.rows, i)) for i in range(m.rows)]
-    return MatrixQ.from_columns([list(c) for c in cols])
+    return MatrixQ.from_columns(_solve(m, [VectorQ.unit(m.rows, i) for i in range(m.rows)]))
 
 
 def rank(m: MatrixQ) -> int:
-    a = [list(r) for r in m.entries]
-    r = 0
-    for c in range(m.cols):
-        piv = None
-        for i in range(r, m.rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pk = a[r][c]
-        for i in range(r + 1, m.rows):
-            f = a[i][c] / pk
-            if f:
-                for j in range(c, m.cols):
-                    a[i][j] = a[i][j] - f * a[r][j]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+    return _eliminate([int_clear(row)[1] for row in m.entries], m.cols)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -430,20 +390,43 @@ def eigenvalue_sign_counts(m: MatrixQ):
     return root_sign_counts(isolate_real_roots(char_poly(m)))
 
 
+def _inertia(a):
+    """(#negative, #zero, #positive) eigenvalues of the symmetric integer rows a.
+
+    A symmetric elimination with diagonal pivots p_1, p_2, ... is a congruence
+    to diag(p_1, p_2 / p_1, ...): Sylvester's law of inertia. When the
+    remaining diagonal is 0 but a_ij is not, adding row and column j to row
+    and column i (a congruence) makes a_ii = 2 a_ij.
+    """
+    n, prev, same = len(a), 1, []
+    for r in range(n):
+        i = next((i for i in range(r, n) if a[i][i]), None)
+        if i is None:
+            pair = next(((i, j) for i in range(r, n) for j in range(i + 1, n) if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a[r:]:
+                row[i] += row[j]
+        a[r], a[i] = a[i], a[r]
+        for row in a[r:]:
+            row[r], row[i] = row[i], row[r]
+        p = _pivot(a, r, r, prev, floordiv)
+        same.append((p > 0) == (prev > 0))
+        prev = p
+    pos = sum(same)
+    return len(same) - pos, n - len(same), pos
+
+
 def definiteness(m: MatrixQ) -> str:
-    """Exact sign classification of a symmetric matrix."""
+    """Exact sign classification of a symmetric matrix, by its inertia."""
     if not m.is_symmetric():
         raise ValueError("definiteness requires a symmetric matrix")
     n = m.rows
-    minors = [determinant(m.leading_principal(k)) for k in range(1, n + 1)]
-    if all(minors):
-        if all(d > 0 for d in minors):
-            return POSITIVE_DEFINITE
-        # order-k leading minor of a negative definite matrix has sign (-1)^k
-        if all((d > 0) == (k % 2 == 1) for k, d in enumerate(minors)):
-            return NEGATIVE_DEFINITE
-        return INDEFINITE
-    neg, zero, pos = eigenvalue_sign_counts(m)
+    # one positive scale for the whole matrix keeps the congruence symmetric
+    ints = int_clear([c for row in m.entries for c in row])[1]
+    neg, zero, pos = _inertia([ints[i : i + n] for i in range(0, n * n, n)])
     if pos and neg:
         return INDEFINITE
     if zero:
@@ -465,18 +448,19 @@ def det_unipoly_matrix(entries, var="x") -> UniPoly:
     """Determinant of a square matrix of UniPoly/scalar entries.
 
     Each row is cleared of denominators once, so a node is integer Horner
-    evaluations and an integer Bareiss determinant, divided by the scales.
+    evaluations and an integer Bareiss determinant, times the rows' scales.
     """
-    scale, ints, bound = 1, [], 0
+    scale, ints, bound = QQ(1), [], 0
     for row in entries:
         row = [c if isinstance(c, UniPoly) else UniPoly.const(c, var) for c in row]
         bound += max(max(c.degree, 0) for c in row)
-        l = lcm(*(den(x) for c in row for x in c.coeffs))
-        scale *= l
-        ints.append([[num(x) * (l // den(x)) for x in c.coeffs] for c in row])
+        factor, flat = int_clear([x for c in row for x in c.coeffs])
+        scale *= factor
+        it = iter(flat)
+        ints.append([list(islice(it, len(c.coeffs))) for c in row])
 
     def det_at(t):
-        return QQ(_det_bareiss_int([[_ieval(e, t) for e in row] for row in ints]), scale)
+        return scale * _det([[_ieval(e, t) for e in row] for row in ints])
 
     return interpolate(_node_points(det_at, bound), var)
 
@@ -485,18 +469,19 @@ def det_bipoly_matrix(entries, vars=("x1", "x2")):
     """Determinant of a square matrix of BiPoly/scalar entries, as a BiPoly."""
     from .poly import BiPoly
 
-    scale, ints, b1, b2 = 1, [], 0, 0
+    scale, ints, b1, b2 = QQ(1), [], 0, 0
     for row in entries:
         row = [c if isinstance(c, BiPoly) else BiPoly.const(c, vars) for c in row]
         b1 += max(max(c.deg1, 0) for c in row)
         b2 += max(max(c.deg2, 0) for c in row)
-        l = lcm(*(den(x) for c in row for r in c.coeffs for x in r))
-        scale *= l
-        ints.append([[[num(x) * (l // den(x)) for x in r] for r in c.coeffs] for c in row])
+        factor, flat = int_clear([x for c in row for r in c.coeffs for x in r])
+        scale *= factor
+        it = iter(flat)
+        ints.append([[list(islice(it, len(r))) for r in c.coeffs] for c in row])
 
     def det_at(t1, t2):
         values = [[_ieval([_ieval(r, t2) for r in e], t1) for e in row] for row in ints]
-        return QQ(_det_bareiss_int(values), scale)
+        return scale * _det(values)
 
     # interpolate in var2 for each var1 node, then in var1 coefficientwise
     polys_at_node1 = _node_points(
