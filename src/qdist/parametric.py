@@ -49,8 +49,8 @@ class QuadricFamily:
 
     The constant term defaults to -1; a polynomial constant admits families
     whose normalized form would not depend polynomially on the parameter.
-    The caller asserts that members are ellipsoids on the interval; this is
-    spot-checked at sample parameter values on construction.
+    The caller asserts that members are ellipsoids on the interval; the
+    constructor checks only the shapes and the symmetry of A(t), not this.
     """
 
     __slots__ = ("a", "b", "c", "dim", "interval")
