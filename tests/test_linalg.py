@@ -18,6 +18,7 @@ from qdist.linalg import (
     POSITIVE_DEFINITE,
     SEMIDEFINITE_DEGENERATE,
     VectorQ,
+    _inertia,
     adjugate,
     block_matrix,
     char_poly,
@@ -118,11 +119,54 @@ def test_definiteness_examples():
         definiteness(MatrixQ([[1, 2], [3, 4]]))
 
 
+def _symmetric_cases(rng):
+    for _ in range(60):
+        yield rand_symmetric(rng, rng.randint(1, 6), -4, 4, 2)
+    # singular and zero-leading-minor inputs: B^T B of rank < n (or its
+    # negative), zeros first on the diagonal, and [[0, b], [b, 0]] blocks
+    # among 1 x 1 blocks, some moved off the diagonal by a congruence
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        b = rand_matrix(rng, rng.randint(1, n - 1), n, -3, 3, 2)
+        yield (b.transpose() * b).scale(rng.choice([1, -1]))
+    for _ in range(30):
+        m = rand_symmetric(rng, rng.randint(2, 6), -4, 4, 2)
+        k = rng.randint(1, m.rows)
+        yield MatrixQ([[0 if i == j < k else c for j, c in enumerate(row)]
+                       for i, row in enumerate(m.entries)])
+    for _ in range(30):
+        yield _block_case(rng)[0]
+
+
+def _block_case(rng):
+    """(m, inertia): a block diagonal of [[0, b], [b, 0]] blocks, inertia
+    (1, 0, 1) or (0, 2, 0) for b = 0, and 1 x 1 blocks, half of them moved
+    off the diagonal by a congruence L m L^T with L unit lower triangular."""
+    entries, counts = [], [0, 0, 0]
+    while len(entries) < 4:
+        if rng.random() < 0.5:
+            b = rng.randint(-3, 3)
+            entries += [(b, 1), (b, -1)]
+            counts = [c + d for c, d in zip(counts, (1, 0, 1) if b else (0, 2, 0))]
+        else:
+            c = rng.randint(-2, 2)
+            entries.append((c, 0))
+            counts[(c > 0) - (c < 0) + 1] += 1
+    n = len(entries)
+    m = MatrixQ([[entries[i][0] if j - i == entries[i][1] else 0 for j in range(n)]
+                 for i in range(n)])
+    if rng.random() < 0.5:
+        lower = MatrixQ([[rng.randint(-2, 2) if j < i else int(i == j) for j in range(n)]
+                         for i in range(n)])
+        m = lower * m * lower.transpose()
+    return m, tuple(counts)
+
+
 def test_definiteness_agrees_with_eigen_sign_counts():
     rng = random.Random(31)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        m = rand_symmetric(rng, n, -4, 4, 2)
+    zero_minor = 0
+    for m in _symmetric_cases(rng):
+        zero_minor += not all(determinant(m.leading_principal(k)) for k in range(1, m.rows + 1))
         neg, zero, pos = eigenvalue_sign_counts(m)
         cls = definiteness(m)
         if pos and neg:
@@ -133,6 +177,14 @@ def test_definiteness_agrees_with_eigen_sign_counts():
             assert cls == POSITIVE_DEFINITE
         else:
             assert cls == NEGATIVE_DEFINITE
+    assert zero_minor == 98  # of the 150 inputs; 9 of the first 60
+
+
+def test_inertia_counts_eigenvalue_signs_with_multiplicity():
+    rng = random.Random(43)
+    for _ in range(60):
+        m, counts = _block_case(rng)
+        assert _inertia([[int(c) for c in row] for row in m.entries]) == counts
 
 
 def test_solve_linear_examples():
@@ -153,6 +205,21 @@ def test_solve_linear_roundtrip():
         done += 1
 
 
+def test_solve_and_inverse_roundtrip_rows_with_different_denominators():
+    rng = random.Random(41)
+    done = 0
+    while done < 25:
+        n = rng.randint(1, 5)
+        m = MatrixQ([[QQ(rng.randint(-9, 9), d) for _ in range(n)]
+                     for d in rng.sample(range(1, 30), n)])
+        if not determinant(m):
+            continue
+        x = VectorQ([rand_rat(rng) for _ in range(n)])
+        assert solve_linear(m, m * x) == x
+        assert m * inverse(m) == inverse(m) * m == MatrixQ.identity(n)
+        done += 1
+
+
 def test_solve_linear_singular_raises():
     m = MatrixQ([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError):
@@ -163,6 +230,10 @@ def test_rank():
     assert rank(MatrixQ([[1, 2], [2, 4]])) == 1
     assert rank(MatrixQ.identity(3)) == 3
     assert rank(MatrixQ([[0, 0], [0, 0]])) == 0
+    # rectangular and rank-deficient: row 3 is 2 * row 1 + row 2
+    m = MatrixQ([[1, QQ(1, 2), 3, 0], [2, 1, QQ(-1, 3), 5], [4, 2, QQ(17, 3), 5]])
+    assert rank(m) == rank(m.transpose()) == 2
+    assert rank(MatrixQ([[0, 1, 2], [0, 2, 4]])) == 1
 
 
 def test_char_poly_matches_eigen_structure():
