@@ -29,6 +29,7 @@ from .metrics import (
     bordered_point_rows,
     normalize,
     point_pairing,
+    trailing_z_power,
 )
 from .poly import BiPoly, UniPoly, _ieval, interpolate_verified
 from .realroots import (
@@ -342,6 +343,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
         intersecting=False,
         certificate={},
         fz=big_f,
+        extraneous_z_power=trailing_z_power(big_f) if big_f is not None else 0,
     )
     if big_f is None:
         report.warnings.append(

@@ -222,6 +222,19 @@ def test_family_nearest_points_match_member_solve():
         assert rep.multipliers == sub.multipliers
 
 
+def test_family_extraneous_z_power_counts_leading_zeros_of_f():
+    # like every other report, a family's F carries the power of z it has
+    # as a factor, and its report says how large that power is
+    cases = list(_golden_family_cases()) + list(_workload_families((1,), 6))
+    powers = []
+    for fam, x0 in cases:
+        rep = family_solve(fam, x0)
+        if rep.fz is not None:
+            powers.append(next(i for i, c in enumerate(rep.fz.coeffs) if c))
+            assert rep.extraneous_z_power == powers[-1]
+    assert len(powers) == 4 and min(powers) > 0
+
+
 def test_family_surface_matches_per_node_pencils():
     # the point pencil is built once over Q[mu, t] and evaluated at each
     # node; the reference builds it from the members' data at every node
