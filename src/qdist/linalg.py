@@ -264,8 +264,10 @@ def _eliminate(a, width, div=floordiv):
     """
     r, sign, prev = 0, 1, 1
     for c in range(width):
-        i = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if i is None:
+        i = r
+        while i < len(a) and not a[i][c]:
+            i += 1
+        if i == len(a):
             continue
         if i != r:
             a[r], a[i] = a[i], a[r]
