@@ -140,8 +140,8 @@ def _symmetric_cases(rng):
 
 def _block_case(rng):
     """(m, inertia): a block diagonal of [[0, b], [b, 0]] blocks, inertia
-    (1, 0, 1) or (0, 2, 0) for b = 0, and 1 x 1 blocks, half of them moved
-    off the diagonal by a congruence L m L^T with L unit lower triangular."""
+    (1, 0, 1) or (0, 2, 0) for b = 0, and 1 x 1 blocks. Half the cases are
+    moved off the diagonal by a congruence L m L^T, L unit lower triangular."""
     entries, counts = [], [0, 0, 0]
     while len(entries) < 4:
         if rng.random() < 0.5:
