@@ -278,7 +278,8 @@ def _eliminate(a, width, div=floordiv):
 
 
 def _det(a, div=floordiv):
-    """Determinant of the square rows a, which the elimination overwrites."""
+    """Determinant of the square rows a, which the elimination overwrites;
+    a zero of the entries' type when a is singular."""
     r, sign = _eliminate(a, len(a), div)
     return sign * a[-1][-1] if r == len(a) else a[0][0] * 0
 
