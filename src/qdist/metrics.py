@@ -22,12 +22,13 @@ from .discrim import (
     multiple_zero_biv,
     multiple_zero_near,
 )
-from .errors import DegeneracyError, InputError, NoPositiveRootError
+from .errors import DegeneracyError, InputError, NoPositiveRootError, SingularMatrixError
 from .linalg import (
     MatrixQ,
     NEGATIVE_DEFINITE,
     POSITIVE_DEFINITE,
     VectorQ,
+    adjugate,
     block_matrix,
     definiteness,
     det_bipoly_matrix,
@@ -37,11 +38,12 @@ from .linalg import (
     rank,
     solve_linear,
 )
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, RatFunc, UniPoly, divrem, field_gcd, poly_gcd, squarefree_decomposition
 from .realroots import (
     MIXED_OR_ZERO,
     NO_REAL_ROOTS,
     IsolatingInterval,
+    count_roots,
     isolate_real_roots,
     refine_interval,
     root_signs_summary,
@@ -358,14 +360,10 @@ def variety_intersects(e: Quadric, v: LinearVariety):
     return cert * factor >= 0, cert
 
 
-def _require_centered(q1: Quadric, q2: Quadric):
-    if not q1.centered or not q2.centered:
-        raise InputError("both quadrics must be centered")
-
-
 def centered_intersects(q1: Quadric, q2: Quadric):
     """Centered quadrics intersect iff A1 - A2 is not sign-definite."""
-    _require_centered(q1, q2)
+    if not q1.centered or not q2.centered:
+        raise InputError("both quadrics must be centered")
     if definiteness(q1.a) != POSITIVE_DEFINITE:
         raise DegeneracyError("not-an-ellipsoid", "first matrix must be positive definite")
     cls = definiteness(q1.a - q2.a)
@@ -390,9 +388,6 @@ def _critical_sign_range(pencil: BiPoly):
 
     Returns (has_negative_or_zero, has_positive_or_zero, has_zero).
     """
-    from .poly import poly_gcd
-    from .realroots import count_roots
-
     bits = 96
     c0 = pencil.eval_var(1, 0)
     c1 = pencil.eval_var(1, 1) - c0
@@ -482,51 +477,22 @@ def _finalize_distance_poly(f: UniPoly) -> UniPoly:
     return f.normalized()
 
 
-def variety_distance_poly(e: Quadric, v: LinearVariety) -> UniPoly:
-    """F(z): squared distance to the variety is its minimal positive simple zero."""
-    pencil = variety_pencil(e, v)
-    k = v.codim
-    return _finalize_distance_poly(
-        discriminant_param(pencil, degree_bound=2 * (k + 1))
-    )
-
-
-def point_distance_poly(e: Quadric, x0: VectorQ) -> UniPoly:
-    """F(z) for the distance from a point to the quadric."""
-    if not e.residual_at(x0):
-        raise DegeneracyError(
-            "point-on-surface", "the point lies on the quadric, so d = 0 and there is no F(z)"
-        )
-    pencil = point_pencil(e, x0)
-    n = e.dim
-    return _finalize_distance_poly(
-        discriminant_param(pencil, degree_bound=2 * (n + 1))
-    )
-
-
 def _squarefree_in_main(pencil: BiPoly) -> BiPoly:
     """Divide a pencil by its repeated main-variable factors.
 
     The pencil and the result are BiPolys with the main variable first and
     the parameter second. Works over the rational-function field in the
-    parameter, then clears denominators; used when the raw discriminant
-    degenerates identically (coaxial or concentric configurations with
-    repeated pencil factors).
+    parameter, then clears denominators.
     """
-    from .poly import RatFunc, divrem, field_gcd
-
     main, var = pencil.vars
     coeffs = [RatFunc(UniPoly(row, var)) for row in pencil.coeffs]
     g = UniPoly(coeffs, main)
-    dg = g.derivative()
-    h = field_gcd(g, dg)
+    h = field_gcd(g, g.derivative())
     if h.degree == 0:
         return pencil
     sf, r = divrem(g, h)
     if r:
         raise AssertionError("inexact square-free division")
-    from .poly import poly_gcd
-
     lcm = UniPoly.const(1, var)
     for c in sf.coeffs:
         d = c.den
@@ -534,26 +500,64 @@ def _squarefree_in_main(pencil: BiPoly) -> BiPoly:
     return BiPoly([(c.num * (lcm / c.den)).coeffs for c in sf.coeffs], pencil.vars)
 
 
-def centered_distance_poly(q1: Quadric, q2: Quadric) -> UniPoly:
-    """F(z) for two centered quadrics (trailing z-power factor retained).
+class Pencil:
+    """A pairing's pencil, built on first use and deflated at most once.
 
-    If the pencil determinant carries repeated factors for every z (spheres
-    or other coinciding-eigenvalue configurations) the discriminant vanishes
-    identically; the square-free part of the pencil is used instead.
+    Calling it gives the pencil: a BiPoly with the main variable (mu or lam)
+    first and z second. ``distance_poly()`` takes F(z) from it and recovery
+    reads it afterwards, so both see the same, possibly deflated, pencil.
     """
-    _require_centered(q1, q2)
-    pencil = centered_pencil(q1, q2)
-    n = q1.dim
-    f = discriminant_param(pencil, degree_bound=4 * n * n)
-    if not f:
-        reduced = _squarefree_in_main(pencil)
-        if reduced.deg1 < 2:
-            raise DegeneracyError(
-                "identically-zero-discriminant",
-                "pencil reduces below quadratic degree",
-            )
-        f = discriminant_param(reduced, degree_bound=4 * n * n)
-    return _finalize_distance_poly(f)
+
+    def __init__(self, build: Callable[[], BiPoly]):
+        self._build = build
+        self._pencil = None
+
+    def __call__(self) -> BiPoly:
+        if self._pencil is None:
+            self._pencil = self._build()
+        return self._pencil
+
+    def distance_poly(self) -> UniPoly:
+        """F(z), the pencil's discriminant in its main variable.
+
+        It vanishes identically when the pencil has a repeated factor for
+        every z (spheres, surfaces of revolution, concentric configurations);
+        the pencil is then replaced by its square-free part, and F is taken
+        from that.
+        """
+        # discriminant_param's default degree bound, 2 deg_main deg_z, is
+        # 2 (n + 1) for a point, 2 (k + 1) for a variety and 4 n^2 if centred
+        f = discriminant_param(self())
+        if not f:
+            self._pencil = _squarefree_in_main(self._pencil)
+            if self._pencil.deg1 < 2:
+                raise DegeneracyError(
+                    "identically-zero-discriminant", "pencil reduces below quadratic degree"
+                )
+            f = discriminant_param(self._pencil)
+        return _finalize_distance_poly(f)
+
+
+def variety_distance_poly(e: Quadric, v: LinearVariety, pencil: Pencil | None = None) -> UniPoly:
+    """F(z): squared distance to the variety is its minimal positive simple zero.
+
+    ``pencil`` is the ``variety_pairing``'s; without it the pairing is built.
+    """
+    return (pencil or variety_pairing(e, v)).distance_poly()
+
+
+def point_distance_poly(e: Quadric, x0: VectorQ, pencil: Pencil | None = None) -> UniPoly:
+    """F(z) for the distance from a point to the quadric, as above."""
+    if not e.residual_at(x0):
+        raise DegeneracyError(
+            "point-on-surface", "the point lies on the quadric, so d = 0 and there is no F(z)"
+        )
+    return (pencil or point_pairing(e, x0)).distance_poly()
+
+
+def centered_distance_poly(q1: Quadric, q2: Quadric, pencil: Pencil | None = None) -> UniPoly:
+    """F(z) for two centered quadrics (trailing z-power factor retained), as above."""
+    return (pencil or centered_pairing(q1, q2)).distance_poly()
 
 
 def general_z_pencil(q1: Quadric, q2: Quadric):
@@ -581,8 +585,6 @@ def general_distance_poly_full(q1: Quadric, q2: Quadric, pencil):
     and candidate validation downstream copes with it. ``pencil`` is the
     pair's ``general_z_pencil``.
     """
-    from .poly import squarefree_decomposition
-
     raw = _finalize_distance_poly(_general_raw(q1, q2, pencil))
     n = q1.dim
     m = trailing_z_power(raw)
@@ -595,9 +597,7 @@ def general_distance_poly_full(q1: Quadric, q2: Quadric, pencil):
                 square = square * fac
         if square.degree * 2 == n * (n - 1):
             reduced = body / (square * square)
-            if m:
-                reduced = reduced.shift_up(m)
-            return _finalize_distance_poly(reduced), square.normalized()
+            return _finalize_distance_poly(reduced.shift_up(m)), square.normalized()
     return raw, None
 
 
@@ -645,48 +645,42 @@ def _pencil_multiple_zero(pencil: BiPoly, z_hat, bits: int):
     return root, (r0, r1)
 
 
-def variety_nearest_points(e: Quadric, v: LinearVariety, z_hat, bits: int = 128):
+def variety_nearest_points(e: Quadric, v: LinearVariety, z_hat, bits: int, pencil: BiPoly):
     """Nearest points (X on the quadric, Y on the variety) at the refined z.
 
+    mu is the multiple zero of ``pencil``, the pair's pencil as F(z) left
+    it. X and the multipliers nu solve A X + (mu / 2) C nu = -B and
+    C^T X + (G / 2) nu = h, and Y = X + C nu / 2. A point x0 is the variety
+    C = I, h = x0 with its own ``point_pencil``: then X solves
+    (A - mu I) X = -(B + mu x0), nu = 2 (x0 - X) and Y = x0.
     Returns (X, Y, info) where info carries the multiplier data and residuals.
     """
-    mu, residuals = _pencil_multiple_zero(
-        variety_pencil(e, v), snap(z_hat, bits), bits
-    )
-    a_inv = inverse(e.a)
-    m = (v.c.transpose() * a_inv * v.c).scale(mu) - v.gram
-    if not determinant(m):
+    mu, residuals = _pencil_multiple_zero(pencil, snap(z_hat, bits), bits)
+    m = block_matrix([[e.a, v.c.scale(mu / 2)], [v.c.transpose(), v.gram.scale(QQ(1, 2))]])
+    try:
+        solution = solve_linear(m, VectorQ(list(-e.b) + list(v.h)))
+    except SingularMatrixError:
         raise DegeneracyError(
-            "singular-multiplier-system",
-            "distance attained at multiple point pairs",
-        )
-    rhs = (v.c.transpose() * (a_inv * e.b) + v.h).scale(QQ(-2))
-    nu = solve_linear(m, rhs)
-    cnu = v.c * nu
-    x = -(a_inv * e.b) - (a_inv * cnu).scale(mu / 2)
-    y = x + cnu.scale(QQ(1, 2))
-    info = {
-        "mu": mu,
-        "multipliers": tuple(nu),
-        "pencil_residuals": residuals,
-    }
-    return x, y, info
+            "singular-multiplier-system", "distance attained at multiple point pairs"
+        ) from None
+    x, nu = VectorQ(solution[: e.dim]), VectorQ(solution[e.dim :])
+    y = x + (v.c * nu).scale(QQ(1, 2))
+    return x, y, {"mu": mu, "multipliers": tuple(nu), "pencil_residuals": residuals}
 
 
-def centered_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int = 128):
+def centered_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int, pencil: BiPoly):
     """Nearest points on two centered quadrics from the pencil kernel.
 
-    lam is the pencil's multiple zero at the refined z. X spans the kernel of
+    lam is the multiple zero of ``pencil``, the pair's ``centered_pencil`` as
+    F(z) left it, at the refined z. X spans the kernel of
     M = lam A1 + (z - lam) A2 - lam (z - lam) A2 A1 and is read off a nonzero
     column of the adjugate; Y comes from a nonzero row. Both are normalized
     onto their quadrics; the sign pairing is fixed by the distance identity.
     Returns (X, Y, info) like variety_nearest_points.
     """
-    from .linalg import adjugate
-
     n = q1.dim
     z = snap(z_hat, bits)
-    lam, residuals = _pencil_multiple_zero(centered_pencil(q1, q2), z, bits)
+    lam, residuals = _pencil_multiple_zero(pencil, z, bits)
     coef = lam * (z - lam)
     m = q1.a.scale(lam) + q2.a.scale(z - lam) - (q2.a * q1.a).scale(coef)
     adj = adjugate(m)
@@ -741,18 +735,19 @@ def general_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int, pencil):
             raise DegeneracyError(
                 "multiple-zero-residual", "recovered pencil zero fails the residual gate"
             )
-    lam1 = 1 / mu2
-    lam2 = 1 / mu1
+    if not mu1 or not mu2:
+        # lam1 = 1 / mu2 and lam2 = 1 / mu1 would be infinite
+        raise DegeneracyError("singular-multiplier-system", "a recovered multiplier is zero")
     a1_inv = inverse(q1.a)
     a2_inv = inverse(q2.a)
-    m = MatrixQ.identity(q1.dim) - a1_inv.scale(1 / lam1) - a2_inv.scale(1 / lam2)
+    m = MatrixQ.identity(q1.dim) - a1_inv.scale(mu2) - a2_inv.scale(mu1)
     if not determinant(m):
         raise DegeneracyError("singular-multiplier-system", "kernel matrix is singular")
     q = -(a1_inv * q1.b) + (a2_inv * q2.b)
     w = solve_linear(m, q)
-    x = -(a1_inv * q1.b) + (a1_inv * w).scale(1 / lam1)
-    y = -(a2_inv * q2.b) - (a2_inv * w).scale(1 / lam2)
-    return x, y, {"lam1": lam1, "lam2": lam2, "mu1": mu1, "mu2": mu2}
+    x = -(a1_inv * q1.b) + (a1_inv * w).scale(mu2)
+    y = -(a2_inv * q2.b) - (a2_inv * w).scale(mu1)
+    return x, y, {"lam1": 1 / mu2, "lam2": 1 / mu1, "mu1": mu1, "mu2": mu2}
 
 
 # ---------------------------------------------------------------------------
@@ -766,9 +761,10 @@ class Pairing:
 
     ``report`` holds the intersection certificate, ``distance_poly()`` builds
     F(z), and ``recover(z_hat, bits)`` returns nearest points (X, Y, info) at
-    a zero of F, which are checked against ``first`` and ``other``. When the
-    pair has a ``centre`` of symmetry, the mirror image of each nearest pair
-    through it is a nearest pair too.
+    a zero of F, which are checked against ``first`` and ``other``. Both
+    steps read one pencil, built once per pairing. When the pair has a
+    ``centre`` of symmetry, the mirror image of each nearest pair through it
+    is a nearest pair too.
     """
 
     report: DistanceReport
@@ -846,10 +842,11 @@ def variety_pairing(e: Quadric, v: LinearVariety) -> Pairing:
         intersecting=inter,
         certificate={"bordered_determinant": cert},
     )
+    pencil = Pencil(lambda: variety_pencil(e, v))
     return Pairing(
         report,
-        lambda: variety_distance_poly(e, v),
-        lambda z_hat, bits: variety_nearest_points(e, v, z_hat, bits),
+        lambda: variety_distance_poly(e, v, pencil),
+        lambda z_hat, bits: variety_nearest_points(e, v, z_hat, bits, pencil()),
         first=e,
         other=v,
     )
@@ -870,10 +867,11 @@ def point_pairing(e: Quadric, x0: VectorQ) -> Pairing:
         certificate={"point_residual": side},
     )
     variety = LinearVariety(MatrixQ.identity(e.dim), x0)
+    pencil = Pencil(lambda: point_pencil(e, x0))
     return Pairing(
         report,
-        lambda: point_distance_poly(e, x0),
-        lambda z_hat, bits: variety_nearest_points(e, variety, z_hat, bits),
+        lambda: point_distance_poly(e, x0, pencil),
+        lambda z_hat, bits: variety_nearest_points(e, variety, z_hat, bits, pencil()),
         first=e,
         other=variety,
     )
@@ -892,10 +890,11 @@ def centered_pairing(q1: Quadric, q2: Quadric) -> Pairing:
         intersecting=inter,
         certificate={"difference_definiteness": cls},
     )
+    pencil = Pencil(lambda: centered_pencil(q1, q2))
     return Pairing(
         report,
-        lambda: centered_distance_poly(q1, q2),
-        lambda z_hat, bits: centered_nearest_points(q1, q2, z_hat, bits),
+        lambda: centered_distance_poly(q1, q2, pencil),
+        lambda z_hat, bits: centered_nearest_points(q1, q2, z_hat, bits, pencil()),
         first=q1,
         other=q2,
         centre=VectorQ.zero(q1.dim),

@@ -86,14 +86,6 @@ class QuadricFamily:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("QuadricFamily is immutable")
 
-    @property
-    def param_degree(self) -> int:
-        return max(
-            [e.degree for row in self.a for e in row]
-            + [e.degree for e in self.b]
-            + [self.c.degree]
-        )
-
     def member(self, t):
         """The family member at a rational parameter value, normalized."""
         t = rational(t)
@@ -206,13 +198,16 @@ def family_distance_poly(
             # constant family: the single member carries the answer
             fa = surface.eval_var(1, QQ(0)).normalized()
         return None, fa, fb
-    # the surface's pencil in t: main variable t first, parameter z second
-    pp = BiPoly.from_terms({(j, i): c for (i, j), c in surface.terms()}, (TVAR, ZVAR))
-    bound = (2 * deg_t - 1) * max(surface.deg1, 1)
+    # F(z, t) = z^s G(z, t), and at each z the discriminant in t (a resultant
+    # with the derivative) of z^s G is z^(s (2 deg_t - 1)) times that of G
+    s = next(i for i, row in enumerate(surface.coeffs) if any(row))
+    # G's pencil in t: main variable t first, parameter z second
+    pp = BiPoly.from_terms({(j, i - s): c for (i, j), c in surface.terms()}, (TVAR, ZVAR))
+    bound = (2 * deg_t - 1) * max(pp.deg2, 1)
     big_f = discriminant_param(pp, degree_bound=bound)
     if not big_f:
         return None, fa, fb
-    return big_f.normalized(), fa, fb
+    return big_f.shift_up(s * (2 * deg_t - 1)).normalized(), fa, fb
 
 
 class _Zero:

@@ -1,4 +1,7 @@
+import collections
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -486,3 +489,45 @@ def test_commands_agree(tmp_path, problem):
     assert intersect["certificate"] == distance["certificate"]
     if "F" in distance:
         assert poly["F"] == distance["F"]
+
+
+CIRCLE_ELLIPSE = {
+    "kind": "quadric-quadric",
+    "quadric": {"a": [[4, 0], [0, 4]], "b": [1, 2], "c": -14},
+    "quadric2": {"a": [[5, 0], [0, 4]], "b": [4, 7], "c": -38},
+}
+
+
+def test_zero_multiplier_fails_its_candidate_only(tmp_path):
+    # at every positive zero of this pair's F the recovered multiplier mu1
+    # is 0; each candidate fails with a reason code, and the solve goes on
+    code, text = run(tmp_path, "distance", CIRCLE_ELLIPSE)
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["d"]["decimal"].startswith("0.237515077")
+    assert rep["warnings"][:4] == [
+        f"recovery at zero ~{z} failed: singular-multiplier-system"
+        for z in ("0.0564134121", "9.17025057", "17.1614655", "48.0715779")
+    ]
+
+
+def _symmetric_sweep():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "symmetric_sweep.py"
+    spec = importlib.util.spec_from_file_location("symmetric_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_symmetric_inputs_end_in_a_report_or_a_named_degeneracy():
+    # circles, spheres, axes of revolution, centres and congruent pairs,
+    # which no benchmark workload draws: none may end in an internal error
+    sweep = _symmetric_sweep()
+    outcomes = collections.Counter(
+        (shape, sweep.outcome(problem)) for shape, problem in sweep.problems(seed=1, count=10)
+    )
+    assert sum(outcomes.values()) == 60
+    assert not [key for key in outcomes if "internal-error" in key[1]]
+    # the shapes that now solve with validated nearest points
+    assert outcomes["point-sphere", "ok"] == 10
+    assert outcomes["point-spheroid-axis", "ok"] >= 9

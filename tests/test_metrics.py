@@ -9,7 +9,7 @@ from helpers import (
     rand_pd_matrix,
     rand_rat,
 )
-from qdist import discrim
+from qdist import discrim, metrics
 from qdist.discrim import discriminant_param
 from qdist.errors import DegeneracyError, InputError
 from qdist.linalg import (
@@ -645,3 +645,64 @@ def test_empty_surface_is_reported():
     q = Quadric(a, VectorQ.zero(2))  # -x^2 - y^2 = 1
     with pytest.raises(DegeneracyError):
         solve_point(q, VectorQ([3, 0]))
+
+
+def _nearest_x(rep):
+    assert rep.nearest_pairs, rep.warnings
+    return VectorQ(rep.nearest_pairs[0].x)
+
+
+def test_point_against_sphere():
+    # 2|X|^2 = 4: the point pencil has the factor (1/2 - mu)^2 for every z,
+    # so F comes from its square-free part, and so does the nearest point
+    sphere = normalize(MatrixQ.identity(3).scale(QQ(2)), VectorQ.zero(3), -4)
+    rep = solve_point(sphere, VectorQ([0, 4, -5]))
+    # z* = (sqrt(41) - sqrt(2))^2 = 43 - 2 sqrt(82)
+    assert abs((43 - rep.z_star.value) ** 2 - 328) < QQ(1, 2**100)
+    assert abs(rep.d - (41**0.5 - 2**0.5)) < 1e-12
+    x = _nearest_x(rep)
+    assert x[0] == 0 and 5 * x[1] + 4 * x[2] == 0 and x[1] > 0
+    assert abs(x.norm2() - 2) < QQ(1, 2**100)
+
+
+def test_point_on_spheroid_axis():
+    # x^2 + y^2 + 2 z^2 = 4 seen from (0, 0, 5): d = 5 - sqrt(2) at (0, 0, sqrt(2))
+    spheroid = normalize(MatrixQ.diag([1, 1, 2]), VectorQ.zero(3), -4)
+    rep = solve_point(spheroid, VectorQ([0, 0, 5]))
+    assert abs((27 - rep.z_star.value) ** 2 - 200) < QQ(1, 2**100)
+    assert abs(rep.d - (5 - 2**0.5)) < 1e-12
+    x = _nearest_x(rep)
+    assert x[0] == x[1] == 0 and abs(x[2] ** 2 - 2) < QQ(1, 2**100) and x[2] > 0
+
+
+def test_centred_recovery_reads_the_deflated_pencil():
+    # coaxial spheroids with semi-axes (1, 1, 2) and (4, 4, 3): the pencil
+    # has a repeated factor for every z, F comes from its square-free part,
+    # and the nearest points (0, 0, +-2) and (0, 0, +-3) from the same part
+    q1 = Quadric(MatrixQ.diag([1, 1, QQ(1, 4)]), VectorQ.zero(3))
+    q2 = Quadric(MatrixQ.diag([QQ(1, 16), QQ(1, 16), QQ(1, 9)]), VectorQ.zero(3))
+    rep = solve_centered(q1, q2)
+    assert rep.z_star.value == 1 and not rep.warnings
+    assert [(p.x, p.y) for p in rep.nearest_pairs] == [((0, 0, 2), (0, 0, 3)), ((0, 0, -2), (0, 0, -3))]
+
+
+@pytest.mark.parametrize("builder, solve, operands", [
+    ("point_pencil", solve_point, lambda: (ellipse_2_1(), VectorQ([3, 1]))),
+    ("variety_pencil", solve_variety, axis_problem),
+    ("centered_pencil", solve_centered, lambda: (
+        Quadric(MatrixQ([[10, -6], [-6, 8]]), VectorQ.zero(2)),
+        Quadric(MatrixQ([[1, QQ(1, 2)], [QQ(1, 2), 1]]), VectorQ.zero(2)),
+    )),
+], ids=["point", "variety", "centred"])
+def test_each_pencil_is_built_once(monkeypatch, builder, solve, operands):
+    # F(z) and the nearest-point recovery read one pencil per solve, and a
+    # point recovers from its own pencil, not from an identity variety's
+    calls = []
+    for name in ("point_pencil", "variety_pencil", "centered_pencil"):
+        original = getattr(metrics, name)
+        monkeypatch.setattr(
+            metrics, name, lambda *a, name=name, original=original: calls.append(name) or original(*a)
+        )
+    rep = solve(*operands())
+    assert not rep.intersecting and rep.nearest_pairs
+    assert calls == [builder]

@@ -4,7 +4,9 @@ import pytest
 
 from brute import brute_point_distance
 from helpers import per_node_family_surface, rand_rat, workload_problems
+from qdist import discrim
 from qdist.cli import ProblemFile
+from qdist.discrim import discriminant_param
 from qdist.errors import InputError, NoPositiveRootError
 from qdist.linalg import MatrixQ, VectorQ
 from qdist.metrics import point_pairing, solve_point
@@ -14,7 +16,7 @@ from qdist.parametric import (
     family_distance_surface,
     family_solve,
 )
-from qdist.poly import UniPoly, divrem
+from qdist.poly import BiPoly, UniPoly, divrem
 from qdist.scalar import QQ
 
 T = UniPoly.x("t")
@@ -259,3 +261,30 @@ def test_member_f_is_the_surface_at_its_t():
                 continue
             own = point_pairing(fam.member(t), x0).distance_poly()
             assert surface.eval_var(1, t).normalized() == own.normalized()
+
+
+def _full_iterated_discriminant(surface):
+    """The t-discriminant of F(z, t) itself, with no power of z divided out."""
+    pp = BiPoly.from_terms({(j, i): c for (i, j), c in surface.terms()}, ("t", "z"))
+    bound = (2 * surface.deg2 - 1) * max(surface.deg1, 1)
+    return discriminant_param(pp, degree_bound=bound).normalized()
+
+
+def test_iterated_discriminant_divides_out_the_power_of_z(monkeypatch):
+    # every member's F has the factor z, so F(z, t) = z G(z, t) and the
+    # iterated discriminant is z^(2 deg_t - 1) times that of G: the same
+    # polynomial from 58 nodes instead of the 89 that F(z, t) itself takes
+    fam, x0 = moving_ellipse_family(), VectorQ([-10, 10])
+    surface = family_distance_surface(fam, x0)
+    assert not any(surface.coeffs[0]) and surface.deg2 == 16
+    calls = []
+    uni = discrim.discriminant_uni
+    monkeypatch.setattr(discrim, "discriminant_uni", lambda g: calls.append(g) or uni(g))
+    big_f = family_distance_poly(fam, x0, surface)[0]
+    assert len(calls) == 58
+    assert big_f.degree == 85
+    monkeypatch.undo()
+    assert big_f == _full_iterated_discriminant(surface)
+    for fam, x0 in _workload_families((1, 2), 6):
+        surface = family_distance_surface(fam, x0)
+        assert family_distance_poly(fam, x0, surface)[0] == _full_iterated_discriminant(surface)
