@@ -234,6 +234,8 @@ def report_json(rep: DistanceReport, exact_mode=False):
     if rep.fz is not None:
         out["F"] = _poly_json(rep.fz)
         out["extraneous_z_power"] = rep.extraneous_z_power
+    if rep.extraneous_square is not None:
+        out["extraneous_square"] = _poly_json(rep.extraneous_square)
     if rep.positive_zeros:
         out["positive_zeros"] = [
             {

@@ -148,6 +148,7 @@ class DistanceReport:
     certificate: dict
     fz: UniPoly | None = None
     extraneous_z_power: int = 0
+    extraneous_square: UniPoly | None = None
     positive_zeros: list = field(default_factory=list)
     z_star: RootInfo | None = None
     d: object = None
@@ -1064,7 +1065,7 @@ def general_pairing(q1: Quadric, q2: Quadric) -> Pairing:
             report.warnings.append(
                 "extraneous square factor removed from the distance polynomial"
             )
-            report.certificate["extraneous_square"] = square
+            report.extraneous_square = square
         return f
 
     return Pairing(

@@ -471,8 +471,10 @@ def _pair(a1, b1, a2, b2, c2=-1, kind="quadric-quadric"):
         "variety": {"columns": [[1, 0]], "offset": [3]},
     },
     _pair([[1, 0], [0, 2]], [0, 0], [["1/9", 0], [0, "1/16"]], [0, 0]),
+    # the golden general-extraneous-square pair: F drops a square factor
+    _pair([[3, 1], [1, 2]], [0, 0], [[5, -1], [-1, 4]], [-42, -22], 595),
 ], ids=["axis", "ellipse-point", "centred", "concentric-spheres", "sphere-pair",
-        "hyperbola-point", "empty-variety", "concentric-ellipses"])
+        "hyperbola-point", "empty-variety", "concentric-ellipses", "extraneous-square"])
 def test_commands_agree(tmp_path, problem):
     # distance, intersect and poly validate, certify and build F alike
     results = {}
