@@ -32,15 +32,15 @@ from .metrics import (
     variety_pairing,
 )
 from .discrim import discriminant_param, discriminant_uni
-from .parametric import QuadricFamily, family_distance_poly, family_solve
+from .parametric import QuadricFamily, family_pairing, family_solve
 from .poly import UniPoly
 from .scalar import QQ, decimal_str, format_rational, rational
 
 # kind -> (the fields it reads, its certificate step, its solver). Both take
 # the fields in this order, the solver then the precision. The step validates
 # the input and returns the metrics.Pairing whose certificate and F(z) the
-# solver uses; families have none, so intersect does not apply to them.
-# Solvers are looked up by name when called, so a patched one takes effect.
+# solver uses. Solvers are looked up by name when called, so a patched one
+# takes effect.
 PAIRINGS = {
     "point-quadric": (
         ("quadric", "point"), point_pairing, lambda *a: solve_point(*a)
@@ -54,7 +54,7 @@ PAIRINGS = {
     "centered-quadric-quadric": (
         ("quadric", "quadric2"), centered_pairing, lambda *a: solve_centered(*a)
     ),
-    "family-point": (("family", "point"), None, lambda *a: family_solve(*a)),
+    "family-point": (("family", "point"), family_pairing, lambda *a: family_solve(*a)),
 }
 KINDS = tuple(PAIRINGS)
 
@@ -88,7 +88,6 @@ class ProblemFile:
             raise ValueError("exact must be true or false")
         for name, parse in PARSERS.items():
             setattr(self, name, parse(_require(data, name)) if name in fields else None)
-        _check_dimensions(self)
 
 
 def _check_keys(data, known, where):
@@ -170,18 +169,6 @@ PARSERS = {
     "point": _parse_vector,
     "variety": _parse_variety,
 }
-
-
-def _check_dimensions(p: ProblemFile):
-    if p.kind == "point-quadric" and p.quadric.dim != p.point.dim:
-        raise ValueError("point and quadric dimensions differ")
-    if p.kind == "variety-quadric" and p.quadric.dim != p.variety.dim:
-        raise ValueError("variety and quadric dimensions differ")
-    if p.kind in ("quadric-quadric", "centered-quadric-quadric"):
-        if p.quadric.dim != p.quadric2.dim:
-            raise ValueError("quadric dimensions differ")
-    if p.kind == "family-point" and p.family.dim != p.point.dim:
-        raise ValueError("family and point dimensions differ")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +265,8 @@ def report_json(rep: DistanceReport, exact_mode=False):
             "value": format_rational(rep.t_star),
             "decimal": decimal_str(rep.t_star, 30),
         }
+    if rep.branch is not None:
+        out["branch"] = rep.branch
     return out
 
 
@@ -301,10 +290,7 @@ def cmd_family(p: ProblemFile):
 
 
 def cmd_intersect(p: ProblemFile):
-    step = PAIRINGS[p.kind][1]
-    if step is None:
-        raise InputError("intersect does not apply to family problems")
-    report = step(*_operands(p)).report
+    report = PAIRINGS[p.kind][1](*_operands(p)).report
     return {
         "status": "ok",
         "intersecting": report.intersecting,
@@ -313,16 +299,7 @@ def cmd_intersect(p: ProblemFile):
 
 
 def cmd_poly(p: ProblemFile):
-    step = PAIRINGS[p.kind][1]
-    if step is None:
-        # a family has no single F: its iterated and endpoint polynomials
-        big_f, fa, fb = family_distance_poly(p.family, p.point)
-        out = {"status": "ok"}
-        for key, f in (("F_iterated", big_f), ("F_at_a", fa), ("F_at_b", fb)):
-            if f is not None:
-                out[key] = _poly_json(f)
-        return out
-    f = step(*_operands(p)).distance_poly()
+    f = PAIRINGS[p.kind][1](*_operands(p)).distance_poly()
     return {
         "status": "ok",
         "F": _poly_json(f),

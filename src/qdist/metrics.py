@@ -159,6 +159,7 @@ class DistanceReport:
     warnings: list = field(default_factory=list)
     alternate_z: RootInfo | None = None
     t_star: object = None
+    branch: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +766,8 @@ class Pairing:
     a zero of F, which are checked against ``first`` and ``other``. Both
     steps read one pencil, built once per pairing. When the pair has a
     ``centre`` of symmetry, the mirror image of each nearest pair through it
-    is a nearest pair too.
+    is a nearest pair too. Identical surfaces and a family (held as
+    ``first``) have no ``recover``.
     """
 
     report: DistanceReport
@@ -834,9 +836,9 @@ def _solve_pipeline(pairing: Pairing, bits) -> DistanceReport:
 
 
 def variety_pairing(e: Quadric, v: LinearVariety) -> Pairing:
-    check_real_ellipsoid(e)
     if e.dim != v.dim:
         raise InputError("quadric and variety dimensions differ")
+    check_real_ellipsoid(e)
     inter, cert = variety_intersects(e, v)
     report = DistanceReport(
         kind="variety-quadric",
@@ -858,9 +860,9 @@ def solve_variety(e: Quadric, v: LinearVariety, bits: int = 128) -> DistanceRepo
 
 
 def point_pairing(e: Quadric, x0: VectorQ) -> Pairing:
-    check_real_ellipsoid(e)
     if e.dim != x0.dim:
         raise InputError("point dimension mismatch")
+    check_real_ellipsoid(e)
     side = e.residual_at(x0)
     report = DistanceReport(
         kind="point-quadric",

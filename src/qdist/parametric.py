@@ -21,6 +21,7 @@ from .metrics import (
     MU,
     ZVAR,
     DistanceReport,
+    Pairing,
     RootInfo,
     _distance_fields,
     _finish_with_recovery,
@@ -268,7 +269,7 @@ class _Member:
 @dataclass
 class _Candidate:
     zero: _Zero  # gives z at the full precision
-    source: str  # "interior", "endpoint-a", "endpoint-b"
+    source: str  # "interior-stationary", "endpoint-a", "endpoint-b"
     multiplicity: int
     t: object
     member: _Member
@@ -285,20 +286,29 @@ def _point_residual(fam: QuadricFamily, x0: VectorQ) -> UniPoly:
     return r
 
 
+def _holds_point(r: UniPoly, interval) -> bool:
+    """Whether r vanishes in the closed interval (anywhere if it is None)."""
+    if not r:
+        return True
+    if interval is None:
+        return bool(isolate_real_roots(r))
+    lo, hi = interval
+    return not r.eval(lo) or not r.eval(hi) or count_roots(r, lo, hi) > 0
+
+
 def _first_crossing(r: UniPoly, interval, bits: int):
     """Smallest zero of r in the closed interval (the real line if None).
 
     Exact when the zero is recognized as rational, else refined to 2^-bits;
-    None when r has no zero there. r must not vanish identically.
+    the interval's start (or 0) when r vanishes identically. The interval
+    must hold a zero of r.
     """
-    if interval is None:
-        roots = isolate_real_roots(r)
-        return refine(roots[0], bits) if roots else None
-    lo, hi = interval
-    # the common case, no crossing, needs no isolation of r
-    if r.eval(lo) and r.eval(hi) and not count_roots(r, lo, hi):
-        return None
+    if not r:
+        return interval[0] if interval else QQ(0)
     for iv in isolate_real_roots(r):
+        if interval is None:
+            return refine(iv, bits)
+        lo, hi = interval
         # shrink the bracket until it lies on one side of each end point
         width = bits
         while not iv.exact and (iv.lo < lo < iv.hi or iv.lo < hi < iv.hi):
@@ -306,7 +316,36 @@ def _first_crossing(r: UniPoly, interval, bits: int):
             width += 64
         if lo <= iv.lo and iv.hi <= hi:
             return refine(iv, bits)
-    return None
+
+
+def family_pairing(fam: QuadricFamily, x0: VectorQ) -> Pairing:
+    """The family's certificate step: does a member in the interval hold x0?
+
+    The certificate is r(t), the point's residual in the members' equation.
+    ``distance_poly()`` is the iterated discriminant that ``family_solve``
+    reports as F. There is no ``recover``: ``family_solve`` recovers on the
+    winning member.
+    """
+    if x0.dim != fam.dim:
+        raise InputError("point dimension mismatch")
+    r = _point_residual(fam, x0)
+    report = DistanceReport(
+        kind="family-point",
+        intersecting=_holds_point(r, fam.interval),
+        certificate={"point_residual": r},
+    )
+
+    def distance_poly():
+        big_f = family_distance_poly(fam, x0)[0]
+        if big_f is None:
+            raise DegeneracyError(
+                "no-iterated-discriminant",
+                "the distance surface is at most linear in the parameter, so the "
+                "endpoint members carry the answer and there is no iterated F(z)",
+            )
+        return big_f
+
+    return Pairing(report, distance_poly, None, fam, x0)
 
 
 def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceReport:
@@ -315,31 +354,15 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     When a member in the interval passes through the point the distance is
     0, and t_star is the smallest such parameter.
     """
-    if x0.dim != fam.dim:
-        raise InputError("point dimension mismatch")
-    r = _point_residual(fam, x0)
-    if r:
-        t_cross = _first_crossing(r, fam.interval, bits)
-    else:
-        t_cross = fam.interval[0] if fam.interval else QQ(0)
-    if t_cross is not None:
-        return DistanceReport(
-            kind="family-point",
-            intersecting=True,
-            certificate={"point_residual": r},
-            d=QQ(0),
-            d_error=QQ(0),
-            t_star=t_cross,
-        )
+    report = family_pairing(fam, x0).report
+    if report.intersecting:
+        report.d = report.d_error = QQ(0)
+        report.t_star = _first_crossing(report.certificate["point_residual"], fam.interval, bits)
+        return report
     surface = family_distance_surface(fam, x0)
     big_f, fa, fb = family_distance_poly(fam, x0, surface)
-    report = DistanceReport(
-        kind="family-point",
-        intersecting=False,
-        certificate={},
-        fz=big_f,
-        extraneous_z_power=trailing_z_power(big_f) if big_f is not None else 0,
-    )
+    report.fz = big_f
+    report.extraneous_z_power = trailing_z_power(big_f) if big_f is not None else 0
     if big_f is None:
         report.warnings.append(
             "distance surface does not depend on the parameter; "
@@ -383,10 +406,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     z_info = RootInfo(best.zero.value(bits), QQ(1, 1 << bits), best.multiplicity)
     _distance_fields(report, z_info, bits)
     report.t_star = best.t
-    if best.source == "interior":
-        report.certificate["branch"] = "interior-stationary"
-    else:
-        report.certificate["branch"] = best.source
+    report.branch = best.source
     # nearest point on the winning member, as solve_point would find it
     try:
         pairing = point_pairing(fam.member(best.t), x0)
@@ -436,4 +456,4 @@ def _validate_interior(fam, x0, surface, zero: _Zero, bits):
     first = member.first
     if first is not None and first.value(bits // 2) < z_hat - tolerance(bits // 2):
         return None  # a smaller positive zero: z_hat is a far branch
-    return _Candidate(zero, "interior", 1, t_hat, member)
+    return _Candidate(zero, "interior-stationary", 1, t_hat, member)

@@ -206,7 +206,7 @@ def test_constant_family_without_interval(tmp_path):
     assert code == 0
     rep = json.loads(text)
     assert rep["t_star"]["value"] == "0"
-    assert rep["certificate"]["branch"] == "endpoint-a"
+    assert rep["branch"] == "endpoint-a"
     assert rep["d"]["decimal"].startswith("6.0710678118654752440")
     (pair,) = rep["nearest_pairs"]
     assert pair["y"] == ["5", "5"]
@@ -361,7 +361,8 @@ def test_sweep_requires_grid(tmp_path):
 
 
 @pytest.mark.parametrize("command, problem, extra, detail", [
-    ("intersect", _circle_family(), (), "intersect does not apply to family problems"),
+    # the family's step, not the parser, checks the point's dimension
+    ("intersect", dict(_circle_family(), point=[5, 5, 5]), (), "point dimension mismatch"),
     ("family", ELLIPSE_POINT, (), "family command requires kind family-point"),
     ("sweep", ELLIPSE_POINT, ("--grid=-3,3,-3,3,x",), "invalid literal for int()"),
     ("sweep", ELLIPSE_POINT, ("--grid=-3,3,-3,1/0,3",), "zero denominator"),

@@ -56,7 +56,7 @@ def test_moving_circles_boundary_win():
     rep = family_solve(fam, VectorQ([3, 2]))
     assert rep.d == 1
     assert rep.t_star == 1
-    assert rep.certificate["branch"] == "endpoint-b"
+    assert rep.branch == "endpoint-b"
     assert tuple(rep.nearest_pairs[0].x) == (QQ(2), QQ(2))
 
 
@@ -79,7 +79,7 @@ def test_member_through_origin_still_solves_distance():
 
 def test_interior_stationary_family():
     rep = family_solve(moving_ellipse_family(), VectorQ([-10, 10]))
-    assert rep.certificate["branch"] == "interior-stationary"
+    assert rep.branch == "interior-stationary"
     assert abs(rep.z_star.value - QQ(3770933565, 10**8)) < QQ(1, 10**7)
     assert abs(rep.t_star - QQ(-19680233599, 10**10)) < QQ(1, 10**9)
 
