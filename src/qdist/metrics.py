@@ -495,11 +495,13 @@ def _squarefree_in_main(pencil: BiPoly) -> BiPoly:
     sf, r = divrem(g, h)
     if r:
         raise AssertionError("inexact square-free division")
+    # divrem leaves a zero quotient coefficient as a plain rational
+    sf = [c if isinstance(c, RatFunc) else RatFunc(c, var=var) for c in sf.coeffs]
     lcm = UniPoly.const(1, var)
-    for c in sf.coeffs:
+    for c in sf:
         d = c.den
         lcm = (lcm * d) / poly_gcd(lcm, d)
-    return BiPoly([(c.num * (lcm / c.den)).coeffs for c in sf.coeffs], pencil.vars)
+    return BiPoly([(c.num * (lcm / c.den)).coeffs for c in sf], pencil.vars)
 
 
 class Pencil:

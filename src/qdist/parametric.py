@@ -22,6 +22,7 @@ from .metrics import (
     ZVAR,
     DistanceReport,
     Pairing,
+    Pencil,
     RootInfo,
     _distance_fields,
     _finish_with_recovery,
@@ -176,18 +177,41 @@ def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
     return BiPoly.from_terms(terms, (ZVAR, TVAR))
 
 
+def _z_power(surface: BiPoly) -> int:
+    """The largest s with z^s dividing F(z, t)."""
+    return next(i for i, row in enumerate(surface.coeffs) if any(row))
+
+
+def _t_pencil(surface: BiPoly) -> Pencil:
+    """G(z, t) = F(z, t) / z^s as a pencil in t: main variable t first."""
+
+    def build():
+        s = _z_power(surface)
+        return BiPoly.from_terms({(j, i - s): c for (i, j), c in surface.terms()}, (TVAR, ZVAR))
+
+    return Pencil(build)
+
+
 def family_distance_poly(
-    fam: QuadricFamily, x0: VectorQ, surface: BiPoly | None = None
+    fam: QuadricFamily, x0: VectorQ, surface: BiPoly | None = None, pencil: Pencil | None = None
 ):
     """(iterated discriminant, endpoint polynomial at a, endpoint at b).
 
-    The iterated discriminant is None when F(z, t) does not genuinely depend
-    on t (endpoint/ member evaluation is then the only branch). Unbounded
+    The iterated discriminant is None when F(z, t) is at most linear in t
+    (endpoint/ member evaluation is then the only branch). Unbounded
     intervals yield None endpoints. A caller that already holds the distance
-    surface F(z, t) passes it in to skip rebuilding it.
+    surface F(z, t) passes it in to skip rebuilding it, and one that reads
+    the surface's t-pencil afterwards passes that: like every pairing's
+    pencil, it is deflated when its discriminant vanishes identically, as
+    the square factor in a circle family's surface makes it do.
     """
     if surface is None:
         surface = family_distance_surface(fam, x0)
+    if not surface:
+        raise DegeneracyError(
+            "identically-zero-discriminant",
+            "the distance surface vanishes: every member's pencil has a repeated factor",
+        )
     if fam.interval is not None:
         fa = surface.eval_var(1, fam.interval[0]).normalized()
         fb = surface.eval_var(1, fam.interval[1]).normalized()
@@ -199,16 +223,11 @@ def family_distance_poly(
             # constant family: the single member carries the answer
             fa = surface.eval_var(1, QQ(0)).normalized()
         return None, fa, fb
+    pencil = pencil or _t_pencil(surface)
+    big_f = pencil.distance_poly()
     # F(z, t) = z^s G(z, t), and at each z the discriminant in t (a resultant
     # with the derivative) of z^s G is z^(s (2 deg_t - 1)) times that of G
-    s = next(i for i, row in enumerate(surface.coeffs) if any(row))
-    # G's pencil in t: main variable t first, parameter z second
-    pp = BiPoly.from_terms({(j, i - s): c for (i, j), c in surface.terms()}, (TVAR, ZVAR))
-    bound = (2 * deg_t - 1) * max(pp.deg2, 1)
-    big_f = discriminant_param(pp, degree_bound=bound)
-    if not big_f:
-        return None, fa, fb
-    return big_f.shift_up(s * (2 * deg_t - 1)).normalized(), fa, fb
+    return big_f.shift_up(_z_power(surface) * (2 * pencil().deg1 - 1)).normalized(), fa, fb
 
 
 class _Zero:
@@ -360,7 +379,8 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
         report.t_star = _first_crossing(report.certificate["point_residual"], fam.interval, bits)
         return report
     surface = family_distance_surface(fam, x0)
-    big_f, fa, fb = family_distance_poly(fam, x0, surface)
+    pencil = _t_pencil(surface)  # F builds it, interior validation reads it
+    big_f, fa, fb = family_distance_poly(fam, x0, surface, pencil)
     report.fz = big_f
     report.extraneous_z_power = trailing_z_power(big_f) if big_f is not None else 0
     if big_f is None:
@@ -390,7 +410,7 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
         zero = _Zero(iv)
         if endpoints and _below(endpoints[0].zero, zero, bits):
             break
-        best = _validate_interior(fam, x0, surface, zero, bits)
+        best = _validate_interior(fam, surface, pencil(), zero, bits)
         if best is not None:
             break
         report.warnings.append(
@@ -420,16 +440,17 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     return report
 
 
-def _validate_interior(fam, x0, surface, zero: _Zero, bits):
+def _validate_interior(fam, surface, pencil: BiPoly, zero: _Zero, bits):
     """Check an interior candidate: recover t, test stationarity and attainment.
 
+    t is the multiple zero of the surface's t-pencil at the candidate z.
     Works with snapped (small-denominator) stand-ins for the refined values;
     the induced residual error stays orders of magnitude below the gate.
     """
     z_hat = zero.value(bits)
     tol = tolerance(bits)
     z_snap = snap(z_hat, bits)
-    f_at_z = surface.eval_var(0, z_snap)  # polynomial in t
+    f_at_z = pencil.eval_var(1, z_snap)  # polynomial in t
     if f_at_z.degree < 2:
         return None
     try:

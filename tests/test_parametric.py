@@ -234,7 +234,9 @@ def test_family_extraneous_z_power_counts_leading_zeros_of_f():
         if rep.fz is not None:
             powers.append(next(i for i, c in enumerate(rep.fz.coeffs) if c))
             assert rep.extraneous_z_power == powers[-1]
-    assert len(powers) == 4 and min(powers) > 0
+    # every case has F: the golden endpoint case, a circle family, takes it
+    # from its deflated t-pencil
+    assert len(powers) == len(cases) == 5 and min(powers) > 0
 
 
 def test_family_surface_matches_per_node_pencils():
