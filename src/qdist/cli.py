@@ -309,9 +309,7 @@ def cmd_poly(p: ProblemFile):
 
 def _sweep_value(quadric: Quadric, x0, y0):
     """Sign data of the z-discriminant of the point-distance polynomial."""
-    pencil = point_pencil(quadric, VectorQ([x0, y0]))
-    n = quadric.dim
-    raw = discriminant_param(pencil, degree_bound=2 * (n + 1))
+    raw = discriminant_param(point_pencil(quadric, VectorQ([x0, y0])))
     if not raw:
         return QQ(0)
     m = trailing_z_power(raw)

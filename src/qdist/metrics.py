@@ -453,8 +453,7 @@ def general_intersects(q1: Quadric, q2: Quadric):
     """
     ellipsoid_definiteness(q1)
     pencil = general_sign_pencil(q1, q2)
-    n = q1.dim
-    phi = discriminant_param(pencil, degree_bound=2 * (n + 1))
+    phi = discriminant_param(pencil)
     if not phi:
         raise DegeneracyError("identically-zero-pencil", "sign pencil degenerates")
     phi = phi.normalized()

@@ -164,7 +164,7 @@ def family_distance_surface(fam: QuadricFamily, x0: VectorQ) -> BiPoly:
         if pencil.deg1 != n + 1:
             return None
         try:
-            return discriminant_param(pencil, degree_bound=2 * (n + 1)).coeffs
+            return discriminant_param(pencil).coeffs
         except DegeneracyError:
             return None
 
