@@ -433,6 +433,38 @@ def test_poly_of_identical_surfaces_is_classified(tmp_path, a):
     assert code == 0 and json.loads(text)["certificate"] == {"identical": True}
 
 
+def test_poly_of_a_parameter_free_family_is_classified(tmp_path):
+    # the golden family-constant data: every member is the unit circle, so
+    # there is no iterated F; distance answers from the member at t = 0
+    problem = {
+        "kind": "family-point",
+        "family": {"a": [[1, 0], [0, 1]], "b": [0, 0], "interval": [0, 1]},
+        "point": [3, 0],
+    }
+    code, text = run(tmp_path, "poly", problem)
+    assert code == 3
+    assert json.loads(text)["reason"] == "no-iterated-discriminant"
+    code, text = run(tmp_path, "distance", problem)
+    assert code == 0 and json.loads(text)["d"]["value"] == "2"
+
+
+def test_sphere_family_exit_3(tmp_path):
+    # a radius-2 sphere moving along the x-axis, against (0, 5, 0): the
+    # distance surface vanishes identically, and no member holds the point
+    problem = {
+        "kind": "family-point",
+        "family": {"a": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [[0, -1], 0, 0],
+                   "c": [-4, 0, 1]},
+        "point": [0, 5, 0],
+    }
+    for command in ("distance", "poly"):
+        code, text = run(tmp_path, command, problem)
+        assert code == 3
+        assert json.loads(text)["reason"] == "identically-zero-discriminant"
+    code, text = run(tmp_path, "intersect", problem)
+    assert code == 0 and json.loads(text)["intersecting"] is False
+
+
 def test_poly_of_sphere_pair_is_the_distance_f(tmp_path):
     problem = {
         "kind": "quadric-quadric",
@@ -474,8 +506,11 @@ def _pair(a1, b1, a2, b2, c2=-1, kind="quadric-quadric"):
     _pair([[1, 0], [0, 2]], [0, 0], [["1/9", 0], [0, "1/16"]], [0, 0]),
     # the golden general-extraneous-square pair: F drops a square factor
     _pair([[3, 1], [1, 2]], [0, 0], [[5, -1], [-1, 4]], [-42, -22], 595),
+    _circle_family([-4, -3]),
+    _circle_family(),
 ], ids=["axis", "ellipse-point", "centred", "concentric-spheres", "sphere-pair",
-        "hyperbola-point", "empty-variety", "concentric-ellipses", "extraneous-square"])
+        "hyperbola-point", "empty-variety", "concentric-ellipses", "extraneous-square",
+        "circle-family", "circle-family-through-point"])
 def test_commands_agree(tmp_path, problem):
     # distance, intersect and poly validate, certify and build F alike
     results = {}

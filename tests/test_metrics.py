@@ -147,6 +147,19 @@ def test_dimension_mismatch_is_an_input_error(solve):
         solve(e, other)
 
 
+@pytest.mark.parametrize("solve", [solve_point, solve_variety])
+def test_dimension_mismatch_is_checked_before_definiteness(solve):
+    # a hyperbola alone is a degeneracy (exit 3), but an operand of the wrong
+    # dimension is a usage error (exit 2), and it is reported first
+    hyperbola = Quadric(MatrixQ([[1, 0], [0, -1]]), VectorQ.zero(2))
+    other = {
+        solve_point: VectorQ([1, 2, 3]),
+        solve_variety: LinearVariety(MatrixQ.from_columns([[1, 0, 0]])),
+    }[solve]
+    with pytest.raises(InputError):
+        solve(hyperbola, other)
+
+
 def test_general_intersects_cases():
     # overlapping circles (the center cannot be on the unit shell, which
     # would put the surface through the origin and defeat normalization)

@@ -7,7 +7,7 @@ from helpers import per_node_family_surface, rand_rat, workload_problems
 from qdist import discrim
 from qdist.cli import ProblemFile
 from qdist.discrim import discriminant_param
-from qdist.errors import InputError, NoPositiveRootError
+from qdist.errors import DegeneracyError, InputError, NoPositiveRootError
 from qdist.linalg import MatrixQ, VectorQ
 from qdist.metrics import point_pairing, solve_point
 from qdist.parametric import (
@@ -84,6 +84,28 @@ def test_interior_stationary_family():
     assert abs(rep.t_star - QQ(-19680233599, 10**10)) < QQ(1, 10**9)
 
 
+@pytest.mark.parametrize("interval", [(-1, 1), None], ids=["interval", "whole-line"])
+def test_moving_circle_has_its_interior_minimum(interval):
+    # a radius-2 circle centred at (t, 0), against (0, 5): d = 3 at t = 0.
+    # Every member's point pencil carries the factor (1 - mu), so F(z, t)
+    # holds a square in t, and its t-pencil must be deflated
+    fam = QuadricFamily(a=[[1, 0], [0, 1]], b=[-T, 0], c=T**2 - 4, interval=interval)
+    rep = family_solve(fam, VectorQ([0, 5]))
+    assert rep.d == 3 and rep.t_star == 0
+    assert rep.branch == "interior-stationary"
+    assert not rep.warnings
+    assert tuple(rep.nearest_pairs[0].x) == (0, 2)
+
+
+def test_sphere_family_surface_vanishes_identically():
+    # every member's point pencil carries (1 - mu)^2, so each member's F,
+    # and with them the distance surface, vanish identically
+    fam = QuadricFamily(a=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], b=[-T, 0, 0], c=T**2 - 4)
+    with pytest.raises(DegeneracyError) as info:
+        family_solve(fam, VectorQ([0, 5, 0]))
+    assert info.value.code == "identically-zero-discriminant"
+
+
 def test_iterated_discriminant_divisible_by_core_factor():
     big_f, fa, fb = family_distance_poly(moving_ellipse_family(), VectorQ([-10, 10]))
     assert fa is None and fb is None
@@ -124,13 +146,16 @@ def test_family_branch_consistency():
         assert rep.z_star.value <= v + QQ(1, 1 << 40)
 
 
-def test_family_oracle_small_random():
+@pytest.mark.parametrize("shape", ["ellipses", "circles"])
+def test_family_oracle_small_random(shape):
+    # circle members put a square factor in F(z, t), so their t-pencil is
+    # deflated before the iterated discriminant is taken
     rng = random.Random(2718)
     done = 0
     while done < 6:
         # base shape plus linear-in-t center motion, quadratic constant
         m11 = rng.randint(1, 4)
-        m22 = rng.randint(1, 4)
+        m22 = m11 if shape == "circles" else rng.randint(1, 4)
         cx0, cx1 = rand_rat(rng, -2, 2, 2), rand_rat(rng, -2, 2, 2)
         cy0, cy1 = rand_rat(rng, -2, 2, 2), rand_rat(rng, -2, 2, 2)
         # member at t: m11 (x - cx(t))^2 + m22 (y - cy(t))^2 = 1
