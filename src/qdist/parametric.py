@@ -12,6 +12,7 @@ needs, and to the full precision only when their value is read.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .discrim import discriminant_param, multiple_zero_near
@@ -33,7 +34,7 @@ from .metrics import (
     point_pairing,
     trailing_z_power,
 )
-from .poly import BiPoly, UniPoly, _ieval, interpolate_verified
+from .poly import BiPoly, UniPoly, _ieval, interpolate_verified, poly_gcd
 from .realroots import (
     IsolatingInterval,
     count_roots,
@@ -183,11 +184,21 @@ def _z_power(surface: BiPoly) -> int:
 
 
 def _t_pencil(surface: BiPoly) -> Pencil:
-    """G(z, t) = F(z, t) / z^s as a pencil in t: main variable t first."""
+    """G(z, t) as a pencil in t, main variable t first: F(z, t) = z^s c(t) G(z, t).
+
+    c(t), the largest factor in t alone, vanishes where a member's F does,
+    as a circle member's does where its centre is x0, at a real or complex
+    t. It holds no distance; left in, it would add to the iterated
+    discriminant a multiple zero at the circle's squared radius.
+    """
 
     def build():
-        s = _z_power(surface)
-        return BiPoly.from_terms({(j, i - s): c for (i, j), c in surface.terms()}, (TVAR, ZVAR))
+        rows = [UniPoly(row, TVAR) for row in surface.coeffs[_z_power(surface) :]]
+        content = functools.reduce(poly_gcd, rows)
+        g = [(row / content).coeffs for row in rows]
+        return BiPoly.from_terms(
+            {(j, i): c for i, row in enumerate(g) for j, c in enumerate(row) if c}, (TVAR, ZVAR)
+        )
 
     return Pencil(build)
 
@@ -202,8 +213,7 @@ def family_distance_poly(
     intervals yield None endpoints. A caller that already holds the distance
     surface F(z, t) passes it in to skip rebuilding it, and one that reads
     the surface's t-pencil afterwards passes that: like every pairing's
-    pencil, it is deflated when its discriminant vanishes identically, as
-    the square factor in a circle family's surface makes it do.
+    pencil, it is deflated when its discriminant vanishes identically.
     """
     if surface is None:
         surface = family_distance_surface(fam, x0)
@@ -215,15 +225,14 @@ def family_distance_poly(
     if fam.interval is not None:
         fa = surface.eval_var(1, fam.interval[0]).normalized()
         fb = surface.eval_var(1, fam.interval[1]).normalized()
+    elif surface.deg2 < 1:
+        # constant family: the single member carries the answer
+        fa, fb = surface.eval_var(1, QQ(0)).normalized(), None
     else:
         fa = fb = None
-    deg_t = surface.deg2
-    if deg_t < 2:
-        if fam.interval is None and deg_t < 1:
-            # constant family: the single member carries the answer
-            fa = surface.eval_var(1, QQ(0)).normalized()
-        return None, fa, fb
     pencil = pencil or _t_pencil(surface)
+    if pencil().deg1 < 2:
+        return None, fa, fb
     big_f = pencil.distance_poly()
     # F(z, t) = z^s G(z, t), and at each z the discriminant in t (a resultant
     # with the derivative) of z^s G is z^(s (2 deg_t - 1)) times that of G

@@ -44,7 +44,7 @@ from qdist.metrics import (
     variety_intersects,
     variety_pencil,
 )
-from qdist.poly import RatFunc, UniPoly
+from qdist.poly import BiPoly, RatFunc, UniPoly
 from qdist.realroots import isolate_real_roots, min_positive_zero
 from qdist.scalar import QQ
 
@@ -145,6 +145,13 @@ def test_dimension_mismatch_is_an_input_error(solve):
     }[solve]
     with pytest.raises(InputError):
         solve(e, other)
+
+
+def test_squarefree_in_main_keeps_a_zero_coefficient():
+    # (mu^2 - z)^2 deflates to mu^2 - z, whose mu^1 coefficient divrem
+    # leaves as a plain rational 0
+    square = BiPoly([[0, 0, 1], [], [0, -2], [], [1]], ("mu", "z"))
+    assert metrics._squarefree_in_main(square) == BiPoly([[0, -1], [], [1]], ("mu", "z"))
 
 
 @pytest.mark.parametrize("solve", [solve_point, solve_variety])

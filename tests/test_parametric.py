@@ -88,7 +88,7 @@ def test_interior_stationary_family():
 def test_moving_circle_has_its_interior_minimum(interval):
     # a radius-2 circle centred at (t, 0), against (0, 5): d = 3 at t = 0.
     # Every member's point pencil carries the factor (1 - mu), so F(z, t)
-    # holds a square in t, and its t-pencil must be deflated
+    # holds the square of |x0 - centre(t)|^2, a factor in t alone
     fam = QuadricFamily(a=[[1, 0], [0, 1]], b=[-T, 0], c=T**2 - 4, interval=interval)
     rep = family_solve(fam, VectorQ([0, 5]))
     assert rep.d == 3 and rep.t_star == 0
@@ -148,8 +148,8 @@ def test_family_branch_consistency():
 
 @pytest.mark.parametrize("shape", ["ellipses", "circles"])
 def test_family_oracle_small_random(shape):
-    # circle members put a square factor in F(z, t), so their t-pencil is
-    # deflated before the iterated discriminant is taken
+    # circle members put a square factor in t alone into F(z, t), which the
+    # t-pencil leaves out
     rng = random.Random(2718)
     done = 0
     while done < 6:
@@ -259,8 +259,8 @@ def test_family_extraneous_z_power_counts_leading_zeros_of_f():
         if rep.fz is not None:
             powers.append(next(i for i, c in enumerate(rep.fz.coeffs) if c))
             assert rep.extraneous_z_power == powers[-1]
-    # every case has F: the golden endpoint case, a circle family, takes it
-    # from its deflated t-pencil
+    # every case has F: the golden endpoint case, a circle family, once the
+    # square factor in t alone is left out of its t-pencil
     assert len(powers) == len(cases) == 5 and min(powers) > 0
 
 
