@@ -12,7 +12,10 @@ symmetric shapes they never hold, with small integer data:
 - ``point-spheroid-axis``: a point on the axis of a spheroid;
 - ``point-ellipse-centre``: a point at the centre of a non-circular ellipse;
 - ``concentric-circles``: two circles about one centre;
-- ``congruent-pair``: an ellipse against a translated copy of itself.
+- ``congruent-pair``: an ellipse against a translated copy of itself;
+- ``moving-circle``: a point against a circle whose centre moves linearly
+  in t, over an interval or over the whole line;
+- ``moving-sphere``: the same with a sphere in R^3.
 
 Each problem runs through ``qdist distance`` (``cli.main``) and ends as
 ``ok`` (exit 0), ``intersecting`` (exit 0, d = 0) or ``exit-<code>
@@ -105,6 +108,32 @@ def _congruent_pair(rng):
             "quadric2": _quadric(a, moved, radius2)}
 
 
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _moving_ball(rng, n):
+    """(X - c0 - t v)^T k I (X - c0 - t v) = k r^2 as a family against a point."""
+    k, r2 = rng.randint(1, 4), rng.randint(1, 9)
+    c0, v = _point(rng, n, -3, 3), _point(rng, n, -2, 2)
+    while not any(v):
+        v = _point(rng, n, -2, 2)
+    family = {"a": _diag([k] * n), "b": [[-k * x, -k * y] for x, y in zip(c0, v)],
+              "c": [k * (_dot(c0, c0) - r2), 2 * k * _dot(c0, v), k * _dot(v, v)]}
+    if rng.randint(0, 1):
+        lo = rng.randint(-3, 2)
+        family["interval"] = [lo, lo + rng.randint(1, 3)]
+    return {"kind": "family-point", "family": family, "point": _point(rng, n)}
+
+
+def _moving_circle(rng):
+    return _moving_ball(rng, 2)
+
+
+def _moving_sphere(rng):
+    return _moving_ball(rng, 3)
+
+
 SHAPES = {
     "circle-ellipse": _circle_ellipse,
     "point-sphere": _point_sphere,
@@ -112,6 +141,9 @@ SHAPES = {
     "point-ellipse-centre": _point_ellipse_centre,
     "concentric-circles": _concentric_circles,
     "congruent-pair": _congruent_pair,
+    # appended last, so that every shape above draws the same inputs
+    "moving-circle": _moving_circle,
+    "moving-sphere": _moving_sphere,
 }
 
 

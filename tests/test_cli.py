@@ -558,14 +558,22 @@ def _symmetric_sweep():
 
 
 def test_symmetric_inputs_end_in_a_report_or_a_named_degeneracy():
-    # circles, spheres, axes of revolution, centres and congruent pairs,
-    # which no benchmark workload draws: none may end in an internal error
+    # circles, spheres, axes of revolution, centres, congruent pairs and
+    # moving circles and spheres, which no benchmark workload draws: none may
+    # end in an internal error
     sweep = _symmetric_sweep()
     outcomes = collections.Counter(
         (shape, sweep.outcome(problem)) for shape, problem in sweep.problems(seed=1, count=10)
     )
-    assert sum(outcomes.values()) == 60
+    assert sum(outcomes.values()) == 80
     assert not [key for key in outcomes if "internal-error" in key[1]]
+    # a moving sphere's distance surface vanishes identically
+    assert {result for shape, result in outcomes if shape == "moving-sphere"} <= {
+        "intersecting", "exit-3 identically-zero-discriminant"
+    }
+    assert {result for shape, result in outcomes if shape == "moving-circle"} <= {
+        "intersecting", "ok"
+    }
     # the shapes that now solve with validated nearest points
     assert outcomes["point-sphere", "ok"] == 10
     assert outcomes["point-spheroid-axis", "ok"] >= 9
