@@ -97,6 +97,20 @@ def test_moving_circle_has_its_interior_minimum(interval):
     assert tuple(rep.nearest_pairs[0].x) == (0, 2)
 
 
+def test_non_ellipse_winner_reports_d_without_a_nearest_point():
+    # members must be ellipsoids on the interval, and qdist does not check
+    # it: A(t) = diag(3, 1 + t) is indefinite for t < -1, where this family
+    # over the whole line has its winner; d comes without a nearest point
+    fam = QuadricFamily(a=[[3, 0], [0, 1 + T]], b=[0, T - 2], c=2 * T**2 - 2)
+    rep = family_solve(fam, VectorQ([-3, -5]))
+    assert rep.branch == "interior-stationary" and rep.t_star < -1
+    assert abs(rep.d - QQ(12031992803702216, 10**16)) < QQ(1, 10**12)
+    assert not rep.nearest_pairs
+    assert rep.warnings == [
+        "nearest point on winning member unavailable: quadric matrix is not sign-definite"
+    ]
+
+
 def test_sphere_family_surface_vanishes_identically():
     # every member's point pencil carries (1 - mu)^2, so each member's F,
     # and with them the distance surface, vanish identically
