@@ -234,8 +234,8 @@ def family_distance_poly(
     if pencil().deg1 < 2:
         return None, fa, fb
     big_f = pencil.distance_poly()
-    # F(z, t) = z^s G(z, t), and at each z the discriminant in t (a resultant
-    # with the derivative) of z^s G is z^(s (2 deg_t - 1)) times that of G
+    # at each z the discriminant in t (a resultant with the derivative) of
+    # z^s G is z^(s (2 deg_t - 1)) times that of G, for G of degree deg_t
     return big_f.shift_up(_z_power(surface) * (2 * pencil().deg1 - 1)).normalized(), fa, fb
 
 
