@@ -623,29 +623,31 @@ def trailing_z_power(f: UniPoly) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_pencil_residuals(g: UniPoly, mu):
-    scale = sum((abs(c) * max(QQ(1), abs(mu)) ** i for i, c in enumerate(g.coeffs)), QQ(0))
-    if not scale:
-        return QQ(0), QQ(0)
-    r0 = abs(g.eval(mu)) / scale
-    r1 = abs(g.derivative().eval(mu)) / scale
-    return r0, r1
+def gated_multiple_zero(g, bits: int):
+    """(snapped multiple zero, residuals) of g, a pencil at a snapped z.
 
-
-def _pencil_multiple_zero(pencil: BiPoly, z_hat, bits: int):
-    """(snapped multiple zero, scaled residuals) of the pencil at a snapped z.
-
-    Raises when the residuals fail the acceptance gate.
+    g is a UniPoly in one multiplier, whose zero is a rational, or a BiPoly
+    in two, whose zero is a pair. The residuals are g and each first partial
+    of g at the zero, divided by the sum of |c| max(1, |zero|)^k over g's
+    terms c of degree k, where |zero| is the largest coordinate. Raises
+    ``multiple-zero-residual`` when one exceeds ``tolerance(bits)``.
     """
-    g = pencil.eval_var(1, z_hat)
-    root = snap(multiple_zero_near(g), bits)
-    r0, r1 = _scaled_pencil_residuals(g, root)
-    tol = tolerance(bits)
-    if r0 > tol or r1 > tol:
+    if isinstance(g, BiPoly):
+        zero = tuple(snap(m, bits) for m in multiple_zero_biv(bezout_matrix_biv(g), strict=False))
+        point, terms = zero, [(i + j, c) for (i, j), c in g.terms()]
+        partials = (g, g.derivative(0), g.derivative(1))
+    else:
+        zero = snap(multiple_zero_near(g), bits)
+        point, terms = (zero,), enumerate(g.coeffs)
+        partials = (g, g.derivative())
+    size = max(QQ(1), *map(abs, point))
+    scale = sum((abs(c) * size**k for k, c in terms), QQ(0))
+    residuals = tuple(abs(h.eval(*point)) / scale for h in partials)
+    if max(residuals) > tolerance(bits):
         raise DegeneracyError(
             "multiple-zero-residual", "recovered pencil zero fails the residual gate"
         )
-    return root, (r0, r1)
+    return zero, residuals
 
 
 def variety_nearest_points(e: Quadric, v: LinearVariety, z_hat, bits: int, pencil: BiPoly):
@@ -658,7 +660,7 @@ def variety_nearest_points(e: Quadric, v: LinearVariety, z_hat, bits: int, penci
     (A - mu I) X = -(B + mu x0), nu = 2 (x0 - X) and Y = x0.
     Returns (X, Y, info) where info carries the multiplier data and residuals.
     """
-    mu, residuals = _pencil_multiple_zero(pencil, snap(z_hat, bits), bits)
+    mu, residuals = gated_multiple_zero(pencil.eval_var(1, snap(z_hat, bits)), bits)
     m = block_matrix([[e.a, v.c.scale(mu / 2)], [v.c.transpose(), v.gram.scale(QQ(1, 2))]])
     try:
         solution = solve_linear(m, VectorQ(list(-e.b) + list(v.h)))
@@ -683,7 +685,7 @@ def centered_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int, pencil: 
     """
     n = q1.dim
     z = snap(z_hat, bits)
-    lam, residuals = _pencil_multiple_zero(pencil, z, bits)
+    lam, residuals = gated_multiple_zero(pencil.eval_var(1, z), bits)
     coef = lam * (z - lam)
     m = q1.a.scale(lam) + q2.a.scale(z - lam) - (q2.a * q1.a).scale(coef)
     adj = adjugate(m)
@@ -723,21 +725,7 @@ def general_nearest_points(q1: Quadric, q2: Quadric, z_hat, bits: int, pencil):
     ``pencil`` is the pair's ``general_z_pencil``.
     """
     z_hat = snap(z_hat, bits)
-    g = pencil[0] + z_hat * pencil[1]
-    data = bezout_matrix_biv(g)
-    mu1, mu2 = multiple_zero_biv(data, strict=False)
-    mu1 = snap(mu1, bits)
-    mu2 = snap(mu2, bits)
-    # residual gate on the bivariate pencil
-    tol = tolerance(bits)
-    scale = sum((abs(c) for _, c in g.terms()), QQ(0)) * max(
-        QQ(1), abs(mu1), abs(mu2)
-    ) ** g.total_degree
-    for h in (g, g.derivative(0), g.derivative(1)):
-        if abs(h.eval(mu1, mu2)) / scale > tol:
-            raise DegeneracyError(
-                "multiple-zero-residual", "recovered pencil zero fails the residual gate"
-            )
+    (mu1, mu2), _ = gated_multiple_zero(pencil[0] + z_hat * pencil[1], bits)
     if not mu1 or not mu2:
         # lam1 = 1 / mu2 and lam2 = 1 / mu1 would be infinite
         raise DegeneracyError("singular-multiplier-system", "a recovered multiplier is zero")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .discrim import discriminant_param, multiple_zero_near
+from .discrim import discriminant_param
 from .errors import DegeneracyError, InputError, NoPositiveRootError
 from .linalg import MatrixQ, VectorQ, det_bipoly_matrix
 from .metrics import (
@@ -28,8 +28,8 @@ from .metrics import (
     _distance_fields,
     _finish_with_recovery,
     _root_info,
-    _scaled_pencil_residuals,
     bordered_point_rows,
+    gated_multiple_zero,
     normalize,
     point_pairing,
     trailing_z_power,
@@ -452,25 +452,20 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
 def _validate_interior(fam, surface, pencil: BiPoly, zero: _Zero, bits):
     """Check an interior candidate: recover t, test stationarity and attainment.
 
-    t is the multiple zero of the surface's t-pencil at the candidate z.
-    Works with snapped (small-denominator) stand-ins for the refined values;
-    the induced residual error stays orders of magnitude below the gate.
+    t is the multiple zero of the surface's t-pencil at the candidate z, and
+    stationarity is its ``gated_multiple_zero`` gate. Works with snapped
+    (small-denominator) stand-ins for the refined values; the induced
+    residual error stays orders of magnitude below the gate.
     """
     z_hat = zero.value(bits)
-    tol = tolerance(bits)
-    z_snap = snap(z_hat, bits)
-    f_at_z = pencil.eval_var(1, z_snap)  # polynomial in t
+    f_at_z = pencil.eval_var(1, snap(z_hat, bits))  # polynomial in t
     if f_at_z.degree < 2:
         return None
     try:
-        t_hat = multiple_zero_near(f_at_z)
+        t_hat, _ = gated_multiple_zero(f_at_z, bits)
     except DegeneracyError:
         return None
-    t_hat = snap(t_hat, bits)
-    # stationarity residuals, scaled by the coefficient size (and |t| for r1)
-    r0, r1 = _scaled_pencil_residuals(f_at_z, t_hat)
-    if r0 > tol or r1 > tol * max(QQ(1), abs(t_hat)):
-        return None
+    tol = tolerance(bits)
     if fam.interval is not None:
         lo, hi = fam.interval
         if t_hat < lo - tol or t_hat > hi + tol:
