@@ -89,13 +89,15 @@ class QuadricFamily:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("QuadricFamily is immutable")
 
-    def member(self, t):
-        """The family member at a rational parameter value, normalized."""
+    def coefficients(self, t):
+        """(A(t), B(t), c(t)) at a rational parameter value."""
         t = rational(t)
         a = MatrixQ([[e.eval(t) for e in row] for row in self.a])
-        b = VectorQ([e.eval(t) for e in self.b])
-        c = self.c.eval(t)
-        return normalize(a, b, c)
+        return a, VectorQ([e.eval(t) for e in self.b]), self.c.eval(t)
+
+    def member(self, t):
+        """The family member at a rational parameter value, normalized."""
+        return normalize(*self.coefficients(t))
 
 
 def _as_tpoly(e):
@@ -438,15 +440,34 @@ def family_solve(fam: QuadricFamily, x0: VectorQ, bits: int = 128) -> DistanceRe
     report.branch = best.source
     # nearest point on the winning member, as solve_point would find it
     try:
-        pairing = point_pairing(fam.member(best.t), x0)
+        pairing, shift = _member_pairing(fam, best.t, x0)
         if not pairing.report.intersecting:
             sub = _finish_with_recovery(pairing, bits, best.member.zeros(bits))
             if sub.nearest_pairs:
                 report.nearest_pairs = sub.nearest_pairs
                 report.multipliers = sub.multipliers
+            if shift is not None:
+                for pair in sub.nearest_pairs:
+                    pair.x, pair.y = (tuple(shift + VectorQ(v)) for v in (pair.x, pair.y))
     except (DegeneracyError, ValueError) as exc:
         report.warnings.append(f"nearest point on winning member unavailable: {exc}")
     return report
+
+
+def _member_pairing(fam: QuadricFamily, t, x0: VectorQ):
+    """``point_pairing`` of x0 and the member at t, and the shift back, if any.
+
+    A member through the origin, c(t) = 0, has no normalized form. It is
+    then taken in coordinates centred at x0, as A(t), B(t) + A(t) x0 with
+    constant r(t), nonzero since no member in range holds x0, against the
+    origin; its nearest points move back by x0, as ``_common_centre_pairing``
+    moves a pair's.
+    """
+    a, b, c = fam.coefficients(t)
+    if c:
+        return point_pairing(normalize(a, b, c), x0), None
+    centred = normalize(a, b + a * x0, x0.dot(a * x0) + 2 * b.dot(x0))
+    return point_pairing(centred, VectorQ.zero(fam.dim)), x0
 
 
 def _validate_interior(fam, surface, pencil: BiPoly, zero: _Zero, bits):

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,15 +10,19 @@ from qdist.cli import ProblemFile
 from qdist.discrim import discriminant_param
 from qdist.errors import DegeneracyError, InputError, NoPositiveRootError
 from qdist.linalg import MatrixQ, VectorQ
-from qdist.metrics import point_pairing, solve_point
+from qdist.metrics import gated_multiple_zero, point_pairing, solve_point
 from qdist.parametric import (
     QuadricFamily,
+    _t_pencil,
+    _validate_interior,
+    _Zero,
     family_distance_poly,
     family_distance_surface,
     family_solve,
 )
 from qdist.poly import BiPoly, UniPoly, divrem
-from qdist.scalar import QQ
+from qdist.realroots import positive_roots
+from qdist.scalar import QQ, snap
 
 T = UniPoly.x("t")
 
@@ -62,8 +67,8 @@ def test_moving_circles_boundary_win():
 
 def test_member_through_origin_still_solves_distance():
     # the winning member passes through the origin, so it cannot be put in
-    # the normalized quadric form; the distance is still delivered and the
-    # missing nearest point is reported as a warning
+    # the normalized quadric form; it is recovered in coordinates centred
+    # at the point, and its nearest point moved back
     fam = QuadricFamily(
         a=[[1, 0], [0, 1]],
         b=[-T, 0],
@@ -73,8 +78,40 @@ def test_member_through_origin_still_solves_distance():
     rep = family_solve(fam, VectorQ([3, 0]))
     assert rep.d == 1
     assert rep.t_star == 1
-    assert not rep.nearest_pairs
-    assert any("unavailable" in w for w in rep.warnings)
+    assert not rep.warnings
+    assert (rep.nearest_pairs[0].x, rep.nearest_pairs[0].y) == ((2, 0), (3, 0))
+
+
+def test_member_through_origin_at_an_irrational_distance():
+    # the circle (x - t)^2 + y^2 = 4 meets the origin at t = 2, the winner
+    # against (0, 5): d = sqrt(29) - 2 at X = (2, 0) + 2 (-2, 5) / sqrt(29)
+    fam = QuadricFamily(a=[[1, 0], [0, 1]], b=[-T, 0], c=T**2 - 4, interval=(2, 3))
+    rep = family_solve(fam, VectorQ([0, 5]))
+    assert (rep.t_star, rep.branch) == (2, "endpoint-a")
+    assert abs((rep.d + 2) ** 2 - 29) < QQ(1, 2**100)
+    assert not any("unavailable" in w for w in rep.warnings)
+    (pair,) = rep.nearest_pairs
+    x = VectorQ(pair.x)
+    assert pair.y == (0, 5)
+    assert abs((x[0] - 2) ** 2 + x[1] ** 2 - 4) < QQ(1, 2**64)
+    assert abs(5 * (x[0] - 2) + 2 * x[1]) < QQ(1, 2**64)  # on the ray from the centre
+    assert all(v < QQ(1, 2**64) for v in pair.residuals.values())
+
+
+def test_interior_candidate_off_its_zero_fails_the_gate():
+    # the t-pencil at a z moved 2^-20 off a validated interior zero has no
+    # multiple zero that passes gated_multiple_zero, so the candidate goes
+    fam, x0 = moving_ellipse_family(), VectorQ([-10, 10])
+    surface = family_distance_surface(fam, x0)
+    pencil = _t_pencil(surface)
+    big_f = family_distance_poly(fam, x0, surface, pencil)[0]
+    zeros = (_Zero(iv) for iv in positive_roots(big_f) if iv.multiplicity == 1)
+    zero = next(z for z in zeros if _validate_interior(fam, surface, pencil(), z, 128))
+    moved = SimpleNamespace(value=lambda bits: zero.value(bits) + QQ(1, 1 << 20))
+    assert _validate_interior(fam, surface, pencil(), moved, 128) is None
+    with pytest.raises(DegeneracyError) as exc:
+        gated_multiple_zero(pencil().eval_var(1, snap(moved.value(128), 128)), 128)
+    assert exc.value.code == "multiple-zero-residual"
 
 
 def test_interior_stationary_family():

@@ -101,7 +101,7 @@ CASES = {
     "family-constant": lambda: family_solve(
         QuadricFamily(a=[[1, 0], [0, 1]], b=[0, 0], interval=(0, 1)), VectorQ([3, 0])
     ),
-    "family-member-unavailable": lambda: family_solve(
+    "family-member-through-origin": lambda: family_solve(
         QuadricFamily(a=[[1, 0], [0, 1]], b=[-T, 0], c=T**2 - 1, interval=(0, 1)),
         VectorQ([3, 0]),
     ),
