@@ -34,6 +34,7 @@ from qdist.metrics import (
     general_z_pencil,
     normalize,
     point_distance_poly,
+    point_pairing,
     point_pencil,
     solve_centered,
     solve_general,
@@ -566,6 +567,33 @@ def test_general_recovery_reads_the_pencil_of_f():
     x, y, info = general_nearest_points(q1, q2, rep.z_star.value, 128, general_z_pencil(q1, q2))
     assert (rep.nearest_pairs[0].x, rep.nearest_pairs[0].y) == (tuple(x), tuple(y))
     assert rep.multipliers == info
+
+
+def _point_recovery():
+    e = normalize(MatrixQ([[3, 1], [1, 2]]), VectorQ([1, -1]), -5)
+    x0 = VectorQ([4, 3])
+    return point_pairing(e, x0).recover, solve_point(e, x0).z_star.value
+
+
+def _general_recovery():
+    q1, q2 = _separated_ellipses()
+    pencil = general_z_pencil(q1, q2)
+    return (
+        lambda z_hat, bits: general_nearest_points(q1, q2, z_hat, bits, pencil),
+        solve_general(q1, q2).z_star.value,
+    )
+
+
+@pytest.mark.parametrize("problem", [_point_recovery, _general_recovery])
+def test_recovery_gates_the_multiple_zero(problem):
+    # one multiplier or two, recovery passes gated_multiple_zero at the
+    # refined zero and fails it 2^-20 away, where the pencil has no
+    # multiple zero
+    recover, z = problem()
+    recover(z, 128)
+    with pytest.raises(DegeneracyError) as exc:
+        recover(z + QQ(1, 1 << 20), 128)
+    assert exc.value.code == "multiple-zero-residual"
 
 
 def test_general_raw_stops_three_nodes_past_the_degree(monkeypatch):
