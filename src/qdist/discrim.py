@@ -468,7 +468,7 @@ def multiple_zero_biv(data: BezoutData, strict: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def discriminant_param(pp: BiPoly, degree_bound=None) -> UniPoly:
+def discriminant_param(pp: BiPoly) -> UniPoly:
     """Discriminant in the main variable of a parameter-dependent polynomial.
 
     pp is a pencil: a BiPoly whose first variable is the main one and whose
@@ -481,11 +481,14 @@ def discriminant_param(pp: BiPoly, degree_bound=None) -> UniPoly:
     pp is cleared once to content * integer coefficients, so each node is an
     integer Horner evaluation and an integer discriminant. The discriminant
     of content * g is content^(2n - 1) times that of g, for main degree n.
+    It is the (2n - 1) x (2n - 1) Sylvester determinant of g and g', whose
+    entries have parameter degree at most d = deg2, so its interpolant over
+    (2n - 1) d + 1 valid nodes is exact: interpolation stops there unless
+    its early stop comes first.
     """
     n = pp.deg1
     if n < 2:
         raise ValueError("main degree must be at least 2")
-    bound = degree_bound if degree_bound is not None else 2 * n * max(pp.deg2, 1)
     content, flat = int_clear([x for row in pp.coeffs for x in row])
     width = pp.deg2 + 1
     rows = [flat[i : i + width] for i in range(0, len(flat), width)]
@@ -496,7 +499,8 @@ def discriminant_param(pp: BiPoly, degree_bound=None) -> UniPoly:
             return None
         return discriminant_uni(values)
 
-    return interpolate_verified(compute, bound, pp.vars[1]) * content ** (2 * n - 1)
+    degree = (2 * n - 1) * pp.deg2
+    return interpolate_verified(compute, degree, pp.vars[1], proven=True) * content ** (2 * n - 1)
 
 
 def discriminant_biv_param(

@@ -528,8 +528,8 @@ class Pencil:
         the pencil is then replaced by its square-free part, and F is taken
         from that.
         """
-        # discriminant_param's default degree bound, 2 deg_main deg_z, is
-        # 2 (n + 1) for a point, 2 (k + 1) for a variety and 4 n^2 if centred
+        # discriminant_param's proven degree, (2 deg_main - 1) deg_z, is
+        # 2n + 1 for a point, 2k + 1 for a variety and (4n - 1) n if centred
         f = discriminant_param(self())
         if not f:
             self._pencil = _squarefree_in_main(self._pencil)

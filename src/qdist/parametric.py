@@ -246,15 +246,19 @@ class _Zero:
 
     Refining on from the current bracket follows the bisection path that
     refining the isolating interval would, so it reaches the same brackets.
+    ``near``, an open interval that likely holds the zero, is handed to
+    every refinement, which skips the sign tests outside it once it is
+    confirmed and reaches the same brackets either way.
     """
 
-    def __init__(self, iv: IsolatingInterval):
+    def __init__(self, iv: IsolatingInterval, near=None):
         self.origin = self.iv = iv
+        self.near = near
         self.bits = -1
 
     def at(self, bits: int) -> IsolatingInterval:
         if self.bits < bits:
-            self.iv, self.bits = refine_interval(self.iv, bits), bits
+            self.iv, self.bits = refine_interval(self.iv, bits, self.near), bits
         return self.iv
 
     def value(self, bits: int):
@@ -278,15 +282,16 @@ def _below(x: _Zero, y: _Zero, bits: int) -> bool:
 class _Member:
     """A family member's F, up to a constant factor, and its positive zeros.
 
-    The first zero is isolated at once and held as a _Zero; the others are
-    isolated only when recovery reaches them.
+    The first zero is isolated at once and held as a _Zero, refined inside
+    ``near`` where that holds it; the others are isolated only when
+    recovery reaches them.
     """
 
-    def __init__(self, poly: UniPoly):
+    def __init__(self, poly: UniPoly, near=None):
         self.poly = poly
         self._later = positive_roots(poly)
         first = next(self._later, None)
-        self.first = None if first is None else _Zero(first)
+        self.first = None if first is None else _Zero(first, near)
 
     def zeros(self, bits: int):
         """RootInfo of the positive zeros, ascending, each refined when read."""
@@ -476,7 +481,9 @@ def _validate_interior(fam, surface, pencil: BiPoly, zero: _Zero, bits):
     t is the multiple zero of the surface's t-pencil at the candidate z, and
     stationarity is its ``gated_multiple_zero`` gate. Works with snapped
     (small-denominator) stand-ins for the refined values; the induced
-    residual error stays orders of magnitude below the gate.
+    residual error stays orders of magnitude below the gate. The member
+    distance is stationary in t at the true t, so the member's first zero
+    differs from z by O((t_hat - t)^2) and is refined inside z's bracket.
     """
     z_hat = zero.value(bits)
     f_at_z = pencil.eval_var(1, snap(z_hat, bits))  # polynomial in t
@@ -495,8 +502,9 @@ def _validate_interior(fam, surface, pencil: BiPoly, zero: _Zero, bits):
     member_poly = surface.eval_var(1, t_hat)
     if not member_poly:
         return None
+    bracket = zero.at(bits)
     try:
-        member = _Member(member_poly)
+        member = _Member(member_poly, (bracket.lo, bracket.hi))
     except (ValueError, AssertionError):
         return None
     first = member.first

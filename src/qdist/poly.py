@@ -1002,7 +1002,9 @@ def _exact_tables(nodes, values, k, width, var):
     return tables
 
 
-def interpolate_verified(compute, bound: int, var="x", max_pole_order: int = 0):
+def interpolate_verified(
+    compute, bound: int, var="x", max_pole_order: int = 0, proven: bool = False
+):
     """Exact polynomial recovered from an exact function of one rational.
 
     compute is a function as NodeValues takes, evaluated at most once per
@@ -1016,7 +1018,10 @@ def interpolate_verified(compute, bound: int, var="x", max_pole_order: int = 0):
     max_pole_order > 0 the node 0, the possible pole, is never used. The
     bound is a guess: order k is dropped after 2 * bound + k + 4 points (the
     bound doubled once, plus 3 verification nodes); with every order
-    dropped, the function counts as degenerate.
+    dropped, the function counts as degenerate. With ``proven`` (and
+    max_pole_order = 0) the bound is a proven degree bound instead, and the
+    interpolant of bound + 1 nodes is returned when the early stop has not
+    come first.
 
     The differences are screened modulo the prime SCREEN_PRIME: each order
     keeps one table of residues per component, and only an order whose
@@ -1068,6 +1073,9 @@ def interpolate_verified(compute, bound: int, var="x", max_pole_order: int = 0):
             if k in exact and all(it.tail_is_zero(3) for it in exact[k]):
                 polys = [it.polynomial(drop=3) for it in exact[k]]
                 return polys if isinstance(y, tuple) else polys[0]
+        if proven and len(nodes) > bound:
+            polys = [it.polynomial() for it in exact[0]]
+            return polys if isinstance(y, tuple) else polys[0]
         limit = len(nodes) - 2 * bound - 4
         screens = {k: table for k, table in screens.items() if k > limit}
         exact = {k: tables for k, tables in exact.items() if k > limit}

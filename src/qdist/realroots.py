@@ -32,7 +32,9 @@ of its own: it bisects the rational bracket by sign tests of that factor.
 The factor has no other root in the bracket, so the brackets are those the
 whole square-free part would give. A refined root is returned exact when it
 is hit by a midpoint or when the simplest rational in the final bracket is
-a root.
+a root. A caller may hand over a narrower open bracket said to hold the
+root; once two sign tests confirm it, only the midpoints inside it are
+evaluated, and the brackets stay those of plain bisection.
 """
 
 from __future__ import annotations
@@ -347,15 +349,72 @@ def isolate_real_roots(p: UniPoly, positive: bool = False):
     return list(_ascending_roots(p, positive))
 
 
-def _bisect(iv: IsolatingInterval, bits: int):
-    """Shrink the bracket to width <= 2^-bits; returns (lo, hi), lo == hi if exact."""
+def _confirmed(iv: IsolatingInterval, bracket):
+    """The open bracket (a, b), clipped to iv, if iv's root is shown to lie in it.
+
+    iv's factor has one root in iv, so a sign change across the clipped
+    bracket places that root strictly inside it. None otherwise.
+    """
+    a, b = max(bracket[0], iv.lo), min(bracket[1], iv.hi)
+    if a >= b:
+        return None
+    fa, fb = iv.poly.eval(a), iv.poly.eval(b)
+    return (a, b) if fa and fb and (fa > 0) != (fb > 0) else None
+
+
+def _skip(lo, hi, inner, target):
+    """(lo, hi) after the bisection steps whose midpoints lie outside ``inner``.
+
+    ``inner`` is an open interval that holds the root, and the steps stop at
+    width ``target``, as plain bisection's do. In units of the width, from
+    lo, the step at depth j keeps the part [m, m + 1] / 2^j that holds
+    inner's left end, m = floor(u_a 2^j), and it holds the right end while
+    m + 1 >= u_b 2^j. A midpoint strictly inside inner separates its ends,
+    so the parts that hold both are those reached while every midpoint lies
+    outside; the deepest one is found by bisecting on j.
+    """
+    width = hi - lo
+    ua = (max(inner[0], lo) - lo) / width
+    ub = (min(inner[1], hi) - lo) / width
+    ratio = width / target
+    steps = (-(-num(ratio) // den(ratio)) - 1).bit_length()  # plain bisection's
+
+    def left(j):
+        return (num(ua) << j) // den(ua)
+
+    low, high = 0, steps
+    while low < high:
+        j = (low + high + 1) // 2
+        if (left(j) + 1) * den(ub) >= num(ub) << j:
+            low = j
+        else:
+            high = j - 1
+    part = width / (1 << low)
+    m = left(low)
+    return lo + m * part, lo + (m + 1) * part
+
+
+def _bisect(iv: IsolatingInterval, bits: int, bracket=None):
+    """Shrink the bracket to width <= 2^-bits; returns (lo, hi), lo == hi if exact.
+
+    ``bracket`` is an open interval (a, b) said to hold the same root. Once
+    ``_confirmed``, the steps whose midpoints lie at or outside it are taken
+    without a sign test (``_skip``): such a midpoint is no root, and the
+    bracket says on which side the root lies. Only midpoints inside it are
+    evaluated, so the brackets are those of plain bisection.
+    """
     if iv.exact:
         return iv.lo, iv.lo
     s = iv.poly
     lo, hi = iv.lo, iv.hi
     flo = s.eval(lo)
+    inner = bracket and _confirmed(iv, bracket)
     target = QQ(1, 1 << bits)
     while hi - lo > target:
+        if inner:
+            lo, hi = _skip(lo, hi, inner, target)
+            if hi - lo <= target:
+                break
         mid = (lo + hi) / 2
         v = s.eval(mid)
         if not v:
@@ -377,9 +436,13 @@ def refine(iv: IsolatingInterval, bits: int):
     return lo if lo == hi else (lo + hi) / 2
 
 
-def refine_interval(iv: IsolatingInterval, bits: int) -> IsolatingInterval:
-    """Shrink the isolating interval to width at most 2^-bits."""
-    lo, hi = _bisect(iv, bits)
+def refine_interval(iv: IsolatingInterval, bits: int, bracket=None) -> IsolatingInterval:
+    """Shrink the isolating interval to width at most 2^-bits.
+
+    ``bracket``, an open interval said to hold the same root, saves sign
+    tests when two of them confirm it; the result is the same either way.
+    """
+    lo, hi = _bisect(iv, bits, bracket)
     return IsolatingInterval(lo, hi, iv.multiplicity, iv.poly)
 
 

@@ -358,7 +358,7 @@ def per_node_family_surface(fam, x0):
         if pencil.deg1 != n + 1:
             return None
         try:
-            return discriminant_param(pencil, degree_bound=2 * (n + 1)).coeffs
+            return discriminant_param(pencil).coeffs
         except DegeneracyError:
             return None
 

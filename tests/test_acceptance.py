@@ -161,7 +161,7 @@ def _astroid_reference(x0, y0):
 
 def _sweep_psi(ell, x0, y0):
     pencil = point_pencil(ell, VectorQ([x0, y0]))
-    raw = discriminant_param(pencil, degree_bound=6)
+    raw = discriminant_param(pencil)
     if not raw:
         return QQ(0)
     body = UniPoly(raw.coeffs[trailing_z_power(raw):], "z")
@@ -181,8 +181,7 @@ def test_criterion_3_point_to_ellipse():
         for j in range(8):
             x0 = QQ(i) - QQ(7, 2) + QQ(1, 3)
             y0 = QQ(j) - QQ(7, 2) + QQ(1, 5)
-            raw = discriminant_param(point_pencil(ell, VectorQ([x0, y0])),
-                                     degree_bound=6)
+            raw = discriminant_param(point_pencil(ell, VectorQ([x0, y0])))
             body = UniPoly(raw.coeffs[trailing_z_power(raw):], "z")
             fex = _fex_corrected(x0, y0)
             assert body.degree == 4 == fex.degree
@@ -193,8 +192,7 @@ def test_criterion_3_point_to_ellipse():
             assert body == fex * ratio
     # (b) factorization on the axis, up to content
     for x0 in (QQ(3), QQ(1), QQ(7, 2), QQ(-5, 2)):
-        raw = discriminant_param(point_pencil(ell, VectorQ([x0, QQ(0)])),
-                                 degree_bound=6)
+        raw = discriminant_param(point_pencil(ell, VectorQ([x0, QQ(0)])))
         body = UniPoly(raw.coeffs[trailing_z_power(raw):], "z").normalized()
         fact = ((Z - (x0 - 2) ** 2) * (Z - (x0 + 2) ** 2)
                 * (3 * Z - (3 - x0**2)) ** 2)

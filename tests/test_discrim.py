@@ -546,14 +546,74 @@ def test_discriminant_param_calls_discriminant_uni_once_per_node(monkeypatch):
     pencil = point_pencil(
         normalize(MatrixQ([[QQ(1, 4), 0], [0, 1]]), VectorQ([0, 0]), -1), VectorQ([3, 1])
     )
-    expected = discriminant_param(pencil, degree_bound=6)
+    expected = discriminant_param(pencil)
     calls, nodes = [], []
     uni, add_point = discrim.discriminant_uni, poly.NewtonInterp.add_point
     monkeypatch.setattr(discrim, "discriminant_uni", lambda g: calls.append(g) or uni(g))
     monkeypatch.setattr(poly.NewtonInterp, "add_point",
                         lambda self, x, y: nodes.append(x) or add_point(self, x, y))
-    assert discriminant_param(pencil, degree_bound=6) == expected
-    assert len(calls) == len(nodes) == expected.degree + 4
+    assert discriminant_param(pencil) == expected
+    assert len(calls) == len(nodes) == 2 * pencil.deg1
+
+
+def _node_count(pp, monkeypatch):
+    """(discriminant_param(pp), the nodes it interpolated, discriminant_uni calls)."""
+    from qdist import poly
+
+    calls, nodes = [], []
+    uni, add_point = discrim.discriminant_uni, poly.NewtonInterp.add_point
+    monkeypatch.setattr(discrim, "discriminant_uni", lambda g: calls.append(g) or uni(g))
+    monkeypatch.setattr(poly.NewtonInterp, "add_point",
+                        lambda self, x, y: nodes.append(x) or add_point(self, x, y))
+    f = discriminant_param(pp)
+    monkeypatch.undo()
+    return f, nodes, len(calls)
+
+
+def _verified_interpolant(pp):
+    """The discriminant of pp in its main variable, by the 3-node early stop alone."""
+    from qdist.poly import interpolate_verified
+
+    def value(t):
+        g = pp.eval_var(1, t)
+        return discriminant_uni(g.coeffs) if g.degree == pp.deg1 else None
+
+    return interpolate_verified(value, 2 * pp.deg1 * max(pp.deg2, 1), pp.vars[1])
+
+
+def test_discriminant_param_stops_at_its_proven_degree(monkeypatch):
+    # resultant(g, g') is a (2N - 1) x (2N - 1) determinant of coefficients
+    # of parameter degree at most d, so (2N - 1) d + 1 valid nodes give it
+    # exactly: 2N nodes for a z-linear pencil, where the early stop needs
+    # 2N + 3 when the degree is full
+    from qdist.metrics import centered_pencil, point_pencil, Quadric
+
+    rng = random.Random(24)
+    pencils = [point_pencil(normalize(MatrixQ([[QQ(1, 4), 0], [0, 1]]), VectorQ([0, 0]), -1),
+                            VectorQ([3, 1]))]
+    a = MatrixQ([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    pencils.append(point_pencil(normalize(a, VectorQ([1, 0, -1]), -5), VectorQ([2, 3, 1])))
+    # the leading coefficient z - 1 vanishes at the node 1, which is skipped
+    rows = [[rand_rat(rng, -5, 5, 3), rand_rat(rng, -5, 5, 3)] for _ in range(3)]
+    pencils.append(BiPoly(rows + [[-1, 1]], ("mu", "z")))
+    for pp in pencils:
+        assert pp.deg2 == 1
+        f, nodes, calls = _node_count(pp, monkeypatch)
+        assert f == _verified_interpolant(pp)
+        assert f.degree == 2 * pp.deg1 - 1  # full degree: the proven stop comes first
+        assert calls == len(nodes) == 2 * pp.deg1
+    assert 1 not in nodes and len(set(nodes) & {0, -1, 2, -2}) == 4
+    # parameter degree 2 stops at (2N - 1) 2 + 1 nodes, or earlier where the
+    # degree leaves room for the early stop, as a centred pencil's does
+    q1 = Quadric(MatrixQ([[2, 1], [1, 3]]), VectorQ.zero(2))
+    q2 = Quadric(MatrixQ([[5, -1], [-1, 1]]), VectorQ.zero(2))
+    full = BiPoly([[rand_rat(rng, -5, 5, 3) for _ in range(3)] for _ in range(4)], ("mu", "z"))
+    for pp in (full, centered_pencil(q1, q2)):
+        assert pp.deg2 == 2
+        f, nodes, calls = _node_count(pp, monkeypatch)
+        assert f == _verified_interpolant(pp)
+        assert calls == len(nodes) == min(f.degree + 4, (2 * pp.deg1 - 1) * 2 + 1)
+    assert calls == f.degree + 4 == 12  # the centred pencil's F has degree 8
 
 
 def _near_multiple_polys(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from brute import brute_point_distance
 from helpers import per_node_family_surface, rand_rat, workload_problems
-from qdist import discrim
+from qdist import discrim, realroots
 from qdist.cli import ProblemFile
 from qdist.discrim import discriminant_param
 from qdist.errors import DegeneracyError, InputError, NoPositiveRootError
@@ -288,6 +288,36 @@ def _workload_families(seeds, count):
                 yield p.family, p.point
 
 
+def _interior_winner(fam, x0):
+    """z*'s _Zero and the validated interior candidate, as family_solve finds them."""
+    surface = family_distance_surface(fam, x0)
+    pencil = _t_pencil(surface)
+    big_f = family_distance_poly(fam, x0, surface, pencil)[0]
+    for iv in positive_roots(big_f):
+        zero = _Zero(iv)
+        best = iv.multiplicity == 1 and _validate_interior(fam, surface, pencil(), zero, 128)
+        if best:
+            return zero, best
+
+
+@pytest.mark.parametrize("case", ["family-interior", "pair-family-seed-1"])
+def test_member_zero_refined_inside_z_star_bracket(case):
+    # the winning member's first zero lies inside z*'s 128-bit bracket, and
+    # refining it there reaches the brackets that plain refinement reaches
+    if case == "family-interior":
+        fam, x0 = list(_golden_family_cases())[1]
+    else:
+        fam, x0 = next(_workload_families((1,), 6))
+    zero, best = _interior_winner(fam, x0)
+    first = best.member.first
+    z_star = zero.at(128)
+    assert first.near == (z_star.lo, z_star.hi)
+    assert realroots._confirmed(first.origin, first.near)
+    plain = _Zero(first.origin)
+    for bits in (64, 128):
+        assert first.at(bits) == plain.at(bits)
+
+
 def test_family_nearest_points_match_member_solve():
     # the family recovers on the winning member's own F, refining its zeros
     # only as recovery reaches them; solve_point on that member is the oracle
@@ -344,8 +374,7 @@ def test_member_f_is_the_surface_at_its_t():
 def _full_iterated_discriminant(surface):
     """The t-discriminant of F(z, t) itself, with no power of z divided out."""
     pp = BiPoly.from_terms({(j, i): c for (i, j), c in surface.terms()}, ("t", "z"))
-    bound = (2 * surface.deg2 - 1) * max(surface.deg1, 1)
-    return discriminant_param(pp, degree_bound=bound).normalized()
+    return discriminant_param(pp).normalized()
 
 
 def test_iterated_discriminant_divides_out_the_power_of_z(monkeypatch):

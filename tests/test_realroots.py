@@ -275,6 +275,63 @@ def test_rational_roots_detected_exactly(num, den, extra):
     assert refine(roots[0], 64) == r
 
 
+def _brackets(iv, bits, pad_bits):
+    """Open brackets that hold iv's root, miss it, straddle an end of iv or
+    have no width, from iv refined to ``bits``."""
+    near = realroots.refine_interval(iv, bits)
+    lo, hi, mid = near.lo, near.hi, near.midpoint
+    pad = QQ(1, 1 << pad_bits)
+    return [
+        (lo - pad, hi + pad),  # holds the root
+        (lo, hi),  # holds it unless near is exact
+        (iv.lo, lo),  # misses it
+        (hi, iv.hi),  # misses it
+        (iv.lo - 1, mid),  # straddles the left end
+        (mid, iv.hi + pad),  # straddles the right end
+        (mid, mid),  # degenerate
+        (iv.lo - 1, iv.hi + 1),  # all of iv and beyond it
+    ]
+
+
+def _dyadic_interval(c, e, j, k, cofactor):
+    """An interval (c, c + 2^e) isolating the dyadic root c + j 2^(e - k) of
+    (2^k x - (c 2^k + j 2^e)) * cofactor, which bisection's midpoints hit."""
+    width = QQ(2) ** e
+    root = c + j * width / (1 << k)
+    f = UniPoly([-root * (1 << k), 1 << k], "z") * cofactor
+    return IsolatingInterval(QQ(c), c + width, 1, f)
+
+
+@given(
+    coeffs=st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=8),
+    dyadic=st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(0, 62), st.integers(1, 6)),
+    bits=st.integers(min_value=1, max_value=140),
+    pad_bits=st.integers(min_value=0, max_value=160),
+)
+@settings(max_examples=30, deadline=None)
+def test_refine_inside_a_bracket_keeps_every_bracket(coeffs, dyadic, bits, pad_bits):
+    # a confirmed bracket only saves sign tests: refined brackets are == to
+    # those of plain bisection, whether the bracket holds the root, misses
+    # it, straddles an end of the interval or has no width
+    p = UniPoly(coeffs, "z")
+    if p.degree < 1:
+        return
+    p = UniPoly(int_clear(squarefree_part(p).coeffs)[1], "z")
+    c, e, j, k = dyadic
+    intervals = isolate_real_roots(p)
+    intervals.append(_dyadic_interval(c, e, (2 * j + 1) % (1 << k), k, Z**2 + 1))
+    for iv in intervals:
+        plain = {width: realroots.refine_interval(iv, width) for width in (8, 64, 128)}
+        for bracket in _brackets(iv, bits, pad_bits):
+            for width in (8, 64, 128):
+                assert realroots.refine_interval(iv, width, bracket) == plain[width]
+            twice = realroots.refine_interval(realroots.refine_interval(iv, 64, bracket), 128,
+                                              bracket)
+            assert twice == plain[128]
+        if not iv.exact:  # the bracket that holds the root is confirmed
+            assert realroots._confirmed(iv, _brackets(iv, bits, pad_bits)[0])
+
+
 def test_refine_computes_no_squarefree_part(monkeypatch):
     # isolation hands each interval its square-free part; refinement reuses it
     from qdist import poly
