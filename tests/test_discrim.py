@@ -589,31 +589,31 @@ def test_discriminant_param_stops_at_its_proven_degree(monkeypatch):
     from qdist.metrics import centered_pencil, point_pencil, Quadric
 
     rng = random.Random(24)
-    pencils = [point_pencil(normalize(MatrixQ([[QQ(1, 4), 0], [0, 1]]), VectorQ([0, 0]), -1),
-                            VectorQ([3, 1]))]
+    plane = point_pencil(normalize(MatrixQ([[QQ(1, 4), 0], [0, 1]]), VectorQ([0, 0]), -1),
+                         VectorQ([3, 1]))
     a = MatrixQ([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
-    pencils.append(point_pencil(normalize(a, VectorQ([1, 0, -1]), -5), VectorQ([2, 3, 1])))
+    space = point_pencil(normalize(a, VectorQ([1, 0, -1]), -5), VectorQ([2, 3, 1]))
     # the leading coefficient z - 1 vanishes at the node 1, which is skipped
     rows = [[rand_rat(rng, -5, 5, 3), rand_rat(rng, -5, 5, 3)] for _ in range(3)]
-    pencils.append(BiPoly(rows + [[-1, 1]], ("mu", "z")))
-    for pp in pencils:
+    skipping = BiPoly(rows + [[-1, 1]], ("mu", "z"))
+    for pp in (plane, space, skipping):
         assert pp.deg2 == 1
         f, nodes, calls = _node_count(pp, monkeypatch)
         assert f == _verified_interpolant(pp)
         assert f.degree == 2 * pp.deg1 - 1  # full degree: the proven stop comes first
         assert calls == len(nodes) == 2 * pp.deg1
-    assert 1 not in nodes and len(set(nodes) & {0, -1, 2, -2}) == 4
-    # parameter degree 2 stops at (2N - 1) 2 + 1 nodes, or earlier where the
-    # degree leaves room for the early stop, as a centred pencil's does
+    assert nodes == [0, -1, 2, -2, 3, -3]  # skipping's 2N = 6 nodes, without 1
+    # parameter degree 2 stops at (2N - 1) 2 + 1 nodes, unless the degree
+    # leaves room for the early stop, as the centred pencil's degree 8 does
+    full = BiPoly([[rand_rat(rng, -5, 5, 3) for _ in range(3)] for _ in range(4)], ("mu", "z"))
     q1 = Quadric(MatrixQ([[2, 1], [1, 3]]), VectorQ.zero(2))
     q2 = Quadric(MatrixQ([[5, -1], [-1, 1]]), VectorQ.zero(2))
-    full = BiPoly([[rand_rat(rng, -5, 5, 3) for _ in range(3)] for _ in range(4)], ("mu", "z"))
-    for pp in (full, centered_pencil(q1, q2)):
-        assert pp.deg2 == 2
+    for pp, degree, count in ((full, 9, 11), (centered_pencil(q1, q2), 8, 12)):
+        assert pp.deg1 == 3 + (pp is not full) and pp.deg2 == 2
         f, nodes, calls = _node_count(pp, monkeypatch)
         assert f == _verified_interpolant(pp)
-        assert calls == len(nodes) == min(f.degree + 4, (2 * pp.deg1 - 1) * 2 + 1)
-    assert calls == f.degree + 4 == 12  # the centred pencil's F has degree 8
+        assert f.degree == degree
+        assert calls == len(nodes) == count == min(degree + 4, (2 * pp.deg1 - 1) * 2 + 1)
 
 
 def _near_multiple_polys(rng):

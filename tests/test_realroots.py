@@ -295,7 +295,7 @@ def _brackets(iv, bits, pad_bits):
 
 def _dyadic_interval(c, e, j, k, cofactor):
     """An interval (c, c + 2^e) isolating the dyadic root c + j 2^(e - k) of
-    (2^k x - (c 2^k + j 2^e)) * cofactor, which bisection's midpoints hit."""
+    (z - root) * cofactor, for odd j < 2^k: bisection's k-th midpoint hits it."""
     width = QQ(2) ** e
     root = c + j * width / (1 << k)
     f = UniPoly([-root * (1 << k), 1 << k], "z") * cofactor
@@ -322,14 +322,15 @@ def test_refine_inside_a_bracket_keeps_every_bracket(coeffs, dyadic, bits, pad_b
     intervals.append(_dyadic_interval(c, e, (2 * j + 1) % (1 << k), k, Z**2 + 1))
     for iv in intervals:
         plain = {width: realroots.refine_interval(iv, width) for width in (8, 64, 128)}
-        for bracket in _brackets(iv, bits, pad_bits):
+        brackets = _brackets(iv, bits, pad_bits)
+        for bracket in brackets:
             for width in (8, 64, 128):
                 assert realroots.refine_interval(iv, width, bracket) == plain[width]
             twice = realroots.refine_interval(realroots.refine_interval(iv, 64, bracket), 128,
                                               bracket)
             assert twice == plain[128]
         if not iv.exact:  # the bracket that holds the root is confirmed
-            assert realroots._confirmed(iv, _brackets(iv, bits, pad_bits)[0])
+            assert realroots._confirmed(iv, brackets[0])
 
 
 def test_refine_computes_no_squarefree_part(monkeypatch):
